@@ -1,14 +1,25 @@
 // Wait-free shortcut-hint index: a fixed array of (key, node*) slots
-// that lets the read path start a traversal at the greatest recently
-// published node with key < target instead of at the head sentinel.
+// that lets a traversal start at a recently published node just below
+// its target instead of at the head sentinel.
+//
+// Layout: kSlots range buckets in key order. Key k lives in slot
+// k >> shift (clamped to the last slot; keys <= 0 all share slot 0 --
+// still correct, only less precise). `shift` is derived from the input:
+// publish grows it, monotonically, just far enough that the largest key
+// ever published maps inside the array, so the buckets tile the key
+// range actually in use. A lookup starts at its target's bucket and
+// probes downward, so the first usable candidate is the nearest
+// published node below the target, one bucket (~N/kSlots nodes) away
+// at most -- not a random point in the key range.
 //
 // The slot pair is *routing data, never truth*: the key field is a
 // relaxed, possibly-torn copy used only to pick a candidate, and every
 // candidate must be re-validated by the caller -- key/mark check under
 // the caller's existing reclamation cover (arena: addresses are
 // stable; EBR: the op's epoch pin; HP: one kAnchor publish plus a slot
-// re-read, see best()). A stale hint therefore costs one failed
-// validation and a decay to the next candidate, never correctness.
+// re-read, see best()). A stale hint -- including one left in a bucket
+// that a later shift growth re-assigned to other keys -- therefore
+// costs one failed validation or a longer walk, never correctness.
 //
 // Lifecycle protocol (all slot accesses that matter are seq_cst; the
 // safety argument needs the single total order S):
@@ -27,9 +38,11 @@
 //     purge <S publish <S re-check would order the re-check after the
 //     mark) and the publisher self-clears. Both ways, no slot names n
 //     once its retirement can free it -- except transiently while some
-//     publisher's guard still pins n alive.
-//   best(k, valid) -- try candidates in descending key order, at most
-//     one validation per slot (a tried-mask), so lookup is wait-free:
+//     publisher's guard still pins n alive. Purge scans *every* slot:
+//     a shift growth moves n's bucket, so the slot n was published
+//     into is not recomputable from n's key.
+//   best(k, valid) -- probe from k's bucket down to slot 0, validating
+//     each slot's candidate at most once, so lookup is wait-free:
 //     <= kSlots validations regardless of concurrent writers.
 //
 // Why a validated hint is then safe to dereference, per reclaimer, is
@@ -41,16 +54,16 @@
 // the purge, so it reads the cleared slot.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <cstdint>
-#include <limits>
 
 namespace pragmalist::core {
 
 template <typename Node>
 class HintIndex {
  public:
-  static constexpr int kSlots = 8;
+  static constexpr int kSlotBits = 6;
+  static constexpr int kSlots = 1 << kSlotBits;
 
   explicit HintIndex(bool enabled = true) : enabled_(enabled) {}
   HintIndex(const HintIndex&) = delete;
@@ -61,13 +74,14 @@ class HintIndex {
   /// diff (same binary, same layout, no publish/lookup traffic).
   bool enabled() const { return enabled_; }
 
-  /// Publish (key, n) into key's slot. Caller contract: n is covered by
-  /// the caller's reclamation guard for the whole call and was observed
-  /// unmarked during the current operation. See file comment for the
-  /// re-check/self-clear rule.
+  /// Publish (key, n) into key's bucket, first growing `shift` if key
+  /// lies past the range the buckets cover. Caller contract: n is
+  /// covered by the caller's reclamation guard for the whole call and
+  /// was observed unmarked during the current operation. See file
+  /// comment for the re-check/self-clear rule.
   void publish(long key, Node* n) {
     if (!enabled_ || n == nullptr) return;
-    Slot& s = slots_[slot_of(key)];
+    Slot& s = slots_[slot_of(key, grow_shift(key))];
     s.key.store(key, std::memory_order_relaxed);
     s.node.store(n, std::memory_order_seq_cst);
     if (n->next.load_rmw().marked) {
@@ -84,8 +98,8 @@ class HintIndex {
 
   /// Clear every slot naming n. MUST run before every retire(n) /
   /// leak(n) of a node that may ever have been published (engines call
-  /// it on every retirement path; 8 relaxed loads make the miss case
-  /// nearly free).
+  /// it on every retirement path). A full scan, not n's bucket: see the
+  /// file comment.
   void purge(Node* n) {
     if (n == nullptr) return;
     for (Slot& s : slots_) {
@@ -97,47 +111,29 @@ class HintIndex {
     }
   }
 
-  /// Greatest validated candidate, or nullptr (start from the head).
-  /// `valid(n, slot)` runs the caller's validation -- key/mark check
-  /// under its guard; HP callers additionally kAnchor-protect n and
-  /// re-read slot_node(slot) == n before dereferencing. Candidates are
-  /// tried in descending routing-key order; each slot is tried at most
-  /// once (decay chain: next hint, then head), so the lookup is
-  /// wait-free.
+  /// Nearest validated candidate below `key`, or nullptr (start from
+  /// the head). Probes key's bucket, then each lower one, skipping
+  /// empty slots and routing keys >= key. `valid(n, slot)` runs the
+  /// caller's validation -- key/mark check under its guard; HP callers
+  /// additionally kAnchor-protect n and re-read slot_node(slot) == n
+  /// before dereferencing. One validation per slot at most (decay
+  /// chain: next lower bucket, then head), so the lookup is wait-free.
   template <typename Validate>
   Node* best(long key, Validate&& valid) const {
     if (!enabled_) return nullptr;
-    std::uint32_t tried = 0;
-    while (tried != (1u << kSlots) - 1) {
-      int pick = -1;
-      long pick_key = std::numeric_limits<long>::min();
-      Node* pick_node = nullptr;
-      for (int i = 0; i < kSlots; ++i) {
-        if (tried & (1u << i)) continue;
-        // The node load must synchronize with the publisher's seq_cst
-        // store: validation dereferences plain fields (key, the node's
-        // construction), and the publish store is the only edge that
-        // orders them after the node's initialization for a reader
-        // that never walked to n. The routing key stays relaxed -- it
-        // is never dereferenced, only compared.
-        Node* n = slots_[i].node.load(std::memory_order_seq_cst);
-        const long k = slots_[i].key.load(std::memory_order_relaxed);
-        if (n == nullptr || k >= key) {
-          // Empty, or routing key not below the target: useless this
-          // lookup (the real check is on n->key during validation; the
-          // routing key only prunes).
-          tried |= 1u << i;
-          continue;
-        }
-        if (pick < 0 || k > pick_key) {
-          pick = i;
-          pick_key = k;
-          pick_node = n;
-        }
-      }
-      if (pick < 0) return nullptr;
-      tried |= 1u << static_cast<std::uint32_t>(pick);
-      if (valid(pick_node, pick)) return pick_node;
+    for (int i = slot_of(key, shift_.load(std::memory_order_relaxed));
+         i >= 0; --i) {
+      // The node load must synchronize with the publisher's seq_cst
+      // store: validation dereferences plain fields (key, the node's
+      // construction), and the publish store is the only edge that
+      // orders them after the node's initialization for a reader that
+      // never walked to n. The routing key stays relaxed -- it is
+      // never dereferenced, only compared (the real check is on n->key
+      // during validation; the routing key only prunes).
+      Node* n = slots_[i].node.load(std::memory_order_seq_cst);
+      if (n == nullptr) continue;
+      if (slots_[i].key.load(std::memory_order_relaxed) >= key) continue;
+      if (valid(n, i)) return n;
     }
     return nullptr;
   }
@@ -150,21 +146,38 @@ class HintIndex {
   }
 
  private:
-  // One slot per cache line: publishers from different threads land on
-  // different lines (slot_of spreads by key), and readers scanning all
-  // eight pay a predictable eight-line touch.
+  // One slot per cache line: publishers of different key ranges land
+  // on different lines, and a purge's full scan is a predictable
+  // kSlots-line touch (4 KB per engine).
   struct alignas(64) Slot {
     std::atomic<long> key{0};
     std::atomic<Node*> node{nullptr};
   };
 
-  static std::size_t slot_of(long key) {
-    // Fibonacci mix of the key's bits; top bits select the slot.
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> 61);
+  static int slot_of(long key, int shift) {
+    if (key <= 0) return 0;
+    return static_cast<int>(std::min<long>(key >> shift, kSlots - 1));
+  }
+
+  /// Raise shift (never lower it) until key >> shift < kSlots; returns
+  /// the shift to place key with. Bounded: every failed CAS means
+  /// another publisher raised shift, which can happen at most
+  /// 63 - kSlotBits times.
+  int grow_shift(long key) {
+    int need = 0;
+    if (key >= kSlots) {
+      const int width = 64 - __builtin_clzl(static_cast<unsigned long>(key));
+      need = width - kSlotBits;
+    }
+    int cur = shift_.load(std::memory_order_relaxed);
+    while (cur < need && !shift_.compare_exchange_strong(
+                             cur, need, std::memory_order_relaxed)) {
+    }
+    return std::max(cur, need);
   }
 
   Slot slots_[kSlots];
+  std::atomic<int> shift_{0};
   const bool enabled_;
 };
 

@@ -716,13 +716,17 @@ class UnrolledFamilyList {
       for (int i = 0; i < sc; ++i)
         s->cells[i].store(kEmptyCell, std::memory_order_relaxed);
       s->count.store(0, std::memory_order_relaxed);
-      s->next.fetch_or_mark();  // marked => empty; next frozen
+      // marked => empty; next frozen. Unlink to the successor the mark
+      // froze, not to sv.ptr: the lock does not stop sweeps that use s
+      // as their predecessor, so until the mark s->next may have moved
+      // past a dead run, and sv.ptr may already be retired.
+      Node* const succ = s->next.fetch_or_mark().ptr;
       unlock_node(s);
       // A is locked and unmarked, so A->next is still s (splits of A
       // are excluded by the lock; sweeps only remove marked nodes and
       // s was unmarked until just now). CAS regardless -- a racing
       // sweeper may beat us to the unlink now that s is marked.
-      if (a->next.cas_clean(s, sv.ptr)) retire_one(h, s);
+      if (a->next.cas_clean(s, succ)) retire_one(h, s);
       return;
     }
   }

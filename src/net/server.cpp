@@ -118,6 +118,12 @@ struct Server::Worker {
   std::atomic<long> closed{0};
   std::atomic<long> proto_errors{0};
   std::atomic<long> active{0};
+  // Output-bound use (ServerStats); peaks are written by this worker
+  // only, so a plain load/store max suffices.
+  std::atomic<long> out_bytes{0};
+  std::atomic<long> out_peak{0};
+  std::atomic<long> in_peak{0};
+  std::atomic<long> trips{0};
 
   // Written by the worker thread only; read after join.
   core::OpCounters folded;
@@ -129,7 +135,10 @@ struct Server::Worker {
     protocol::FrameParser parser;
     std::string out;
     std::size_t out_off = 0;
-    bool want_write = false;
+    std::uint32_t events = EPOLLIN;  // current epoll interest
+    bool paused = false;  // over the output high-water mark
+    long counted = 0;     // this conn's share of out_bytes
+    std::size_t pending() const { return out.size() - out_off; }
   };
   std::unordered_map<int, Conn> conns;
 
@@ -137,11 +146,26 @@ struct Server::Worker {
   void adopt_incoming();
   void handle_io(int fd, std::uint32_t events,
                  std::unique_ptr<core::ISetHandle>& handle);
-  bool handle_frame(Conn& conn, const std::vector<std::string>& args,
+  /// Read at most kReadBudget bytes into the parser; false when the
+  /// connection closed.
+  bool read_some(int fd, Conn& conn);
+  /// Dispatch buffered frames until the parser needs more bytes or
+  /// the output backlog passes the high-water mark (pausing the
+  /// connection); false when a protocol error closed it.
+  bool dispatch(int fd, Conn& conn,
+                std::unique_ptr<core::ISetHandle>& handle);
+  void handle_frame(Conn& conn, const std::vector<std::string>& args,
                     std::unique_ptr<core::ISetHandle>& handle);
   /// Write as much buffered output as the socket takes; false when the
   /// connection died under us.
   bool flush(int fd, Conn& conn);
+  /// Epoll interest from the connection's state: EPOLLIN unless
+  /// paused, EPOLLOUT while output is pending.
+  void watch(int fd, Conn& conn);
+  static void note_peak(std::atomic<long>& peak, long v) {
+    if (v > peak.load(std::memory_order_relaxed))
+      peak.store(v, std::memory_order_relaxed);
+  }
   void close_conn(int fd);
 };
 
@@ -202,51 +226,78 @@ void Server::Worker::handle_io(int fd, std::uint32_t events,
     return;
   }
 
-  if ((events & EPOLLIN) != 0) {
-    char buf[4096];
-    for (;;) {
-      const ssize_t r = ::read(fd, buf, sizeof(buf));
-      if (r > 0) {
-        conn.parser.feed(buf, static_cast<std::size_t>(r));
-        if (r < static_cast<ssize_t>(sizeof(buf))) break;
-      } else if (r == 0) {
-        // Abrupt client disconnect: drop the connection state (a
-        // half-buffered frame simply evaporates). The worker's lease
-        // is untouched -- it belongs to the worker, not the client.
-        close_conn(fd);
-        return;
-      } else {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        close_conn(fd);
-        return;
-      }
-    }
+  // A paused connection is not read: its bytes stay in the kernel (the
+  // client's sends block) and EPOLLIN is off until it drains.
+  if ((events & EPOLLIN) != 0 && !conn.paused && !read_some(fd, conn))
+    return;
 
-    std::vector<std::string> args;
-    for (;;) {
-      const protocol::ParseStatus st = conn.parser.next(&args);
-      if (st == protocol::ParseStatus::kFrame) {
-        if (!handle_frame(conn, args, handle)) break;
-        continue;
-      }
-      if (st == protocol::ParseStatus::kError) {
-        // A malformed stream cannot be resynchronized: report, flush
-        // best effort, close.
-        proto_errors.fetch_add(1, std::memory_order_relaxed);
-        protocol::encode_error(conn.out,
-                               "ERR protocol: " + conn.parser.error());
-        flush(fd, conn);
-        close_conn(fd);
-        return;
-      }
-      break;  // kNeedMore
-    }
+  for (;;) {
+    if (!conn.paused && !dispatch(fd, conn, handle)) return;
+    if (!flush(fd, conn)) return;
+    // Drained to the low-water mark: resume now. The frames left in
+    // the parser may be all this client ever sends, so no EPOLLIN
+    // would come to wake them.
+    if (!conn.paused || conn.pending() > kOutLowWater) break;
+    conn.paused = false;
   }
-
-  flush(fd, conn);
+  watch(fd, conn);
 }
 
-bool Server::Worker::handle_frame(Conn& conn,
+bool Server::Worker::read_some(int fd, Conn& conn) {
+  char buf[4096];
+  std::size_t got = 0;
+  while (got < kReadBudget) {
+    const ssize_t r = ::read(fd, buf, sizeof(buf));
+    if (r > 0) {
+      conn.parser.feed(buf, static_cast<std::size_t>(r));
+      got += static_cast<std::size_t>(r);
+      if (r < static_cast<ssize_t>(sizeof(buf))) break;
+    } else if (r == 0) {
+      // Abrupt client disconnect: drop the connection state (a
+      // half-buffered frame simply evaporates). The worker's lease
+      // is untouched -- it belongs to the worker, not the client.
+      close_conn(fd);
+      return false;
+    } else {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      close_conn(fd);
+      return false;
+    }
+  }
+  note_peak(in_peak, static_cast<long>(conn.parser.buffered()));
+  return true;
+}
+
+bool Server::Worker::dispatch(int fd, Conn& conn,
+                              std::unique_ptr<core::ISetHandle>& handle) {
+  // Drop the already-written prefix so out holds exactly the backlog
+  // the high-water mark bounds.
+  conn.out.erase(0, conn.out_off);
+  conn.out_off = 0;
+  std::vector<std::string> args;
+  while (conn.out.size() <= kOutHighWater) {
+    const protocol::ParseStatus st = conn.parser.next(&args);
+    if (st == protocol::ParseStatus::kFrame) {
+      handle_frame(conn, args, handle);
+      continue;
+    }
+    if (st == protocol::ParseStatus::kError) {
+      // A malformed stream cannot be resynchronized: report, flush
+      // best effort, close.
+      proto_errors.fetch_add(1, std::memory_order_relaxed);
+      protocol::encode_error(conn.out,
+                             "ERR protocol: " + conn.parser.error());
+      if (flush(fd, conn)) close_conn(fd);
+      return false;
+    }
+    return true;  // kNeedMore
+  }
+  conn.paused = true;
+  trips.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void Server::Worker::handle_frame(Conn& conn,
                                   const std::vector<std::string>& args,
                                   std::unique_ptr<core::ISetHandle>& handle) {
   frames.fetch_add(1, std::memory_order_relaxed);
@@ -276,7 +327,7 @@ bool Server::Worker::handle_frame(Conn& conn,
     folded += handle->counters();
     handle.reset();                       // destroy the crashed shell
     handle = server->set_->make_handle();  // re-lease
-    return true;
+    return;
   }
 
   const std::uint64_t t0 =
@@ -289,37 +340,48 @@ bool Server::Worker::handle_frame(Conn& conn,
     if (server->cfg_.record_latency)
       profile.of(out.cls).record(harness::lat_now_ns() - t0);
   }
-  return true;
 }
 
 bool Server::Worker::flush(int fd, Conn& conn) {
+  note_peak(out_peak, static_cast<long>(conn.pending()));
   while (conn.out_off < conn.out.size()) {
     const ssize_t n = ::write(fd, conn.out.data() + conn.out_off,
                               conn.out.size() - conn.out_off);
     if (n > 0) {
       conn.out_off += static_cast<std::size_t>(n);
     } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn.want_write) {
-        conn.want_write = true;
-        ep.mod(fd, EPOLLIN | EPOLLOUT);
-      }
-      return true;
+      break;
     } else {
       close_conn(fd);
       return false;
     }
   }
-  conn.out.clear();
-  conn.out_off = 0;
-  if (conn.want_write) {
-    conn.want_write = false;
-    ep.mod(fd, EPOLLIN);
+  if (conn.out_off == conn.out.size()) {
+    conn.out.clear();
+    conn.out_off = 0;
+  }
+  const long now = static_cast<long>(conn.pending());
+  if (now != conn.counted) {
+    out_bytes.fetch_add(now - conn.counted, std::memory_order_relaxed);
+    conn.counted = now;
   }
   return true;
 }
 
+void Server::Worker::watch(int fd, Conn& conn) {
+  std::uint32_t want = 0;
+  if (!conn.paused) want |= EPOLLIN;
+  if (conn.pending() > 0) want |= EPOLLOUT;
+  if (want == conn.events) return;
+  conn.events = want;
+  ep.mod(fd, want);
+}
+
 void Server::Worker::close_conn(int fd) {
-  if (conns.erase(fd) == 0) return;
+  const auto it = conns.find(fd);
+  if (it == conns.end()) return;
+  out_bytes.fetch_sub(it->second.counted, std::memory_order_relaxed);
+  conns.erase(it);
   ep.del(fd);
   ::close(fd);
   active.fetch_sub(1, std::memory_order_relaxed);
@@ -446,6 +508,7 @@ void Server::stop() {
 std::string Server::info() const {
   long calls[harness::kNumOpClasses] = {};
   long frames = 0, active = 0, closed = 0, proto_errors = 0;
+  const ServerStats st = stats();
   for (const auto& w : workers_) {
     for (int c = 0; c < harness::kNumOpClasses; ++c)
       calls[c] += w->dispatched[c].load(std::memory_order_relaxed);
@@ -477,7 +540,12 @@ std::string Server::info() const {
      << "limbo:" << set_->limbo_nodes() << "\n"
      << "crashed_slots:" << blast.crashed_slots << "\n"
      << "leaked_cells:" << blast.leaked_cells << "\n"
-     << "parked_limbo:" << blast.parked_limbo << "\n";
+     << "parked_limbo:" << blast.parked_limbo << "\n"
+     << "out_high_water:" << kOutHighWater << "\n"
+     << "out_buffered:" << st.out_buffered << "\n"
+     << "out_peak:" << st.out_peak << "\n"
+     << "in_peak:" << st.in_peak << "\n"
+     << "backpressure_trips:" << st.backpressure_trips << "\n";
   return os.str();
 }
 
@@ -488,6 +556,12 @@ ServerStats Server::stats() const {
     s.closed += w->closed.load(std::memory_order_relaxed);
     s.frames += w->frames.load(std::memory_order_relaxed);
     s.protocol_errors += w->proto_errors.load(std::memory_order_relaxed);
+    s.out_buffered += w->out_bytes.load(std::memory_order_relaxed);
+    s.out_peak =
+        std::max(s.out_peak, w->out_peak.load(std::memory_order_relaxed));
+    s.in_peak =
+        std::max(s.in_peak, w->in_peak.load(std::memory_order_relaxed));
+    s.backpressure_trips += w->trips.load(std::memory_order_relaxed);
   }
   s.faults_fired = faults_fired_.load(std::memory_order_relaxed);
   s.reaps = reaps_.load(std::memory_order_relaxed);

@@ -58,6 +58,20 @@ DispatchOutcome dispatch_request(
     const std::vector<std::string>& args, core::ISetHandle& handle,
     std::string& out, const std::function<std::string()>& info = nullptr);
 
+/// Per-connection output bound (backpressure): once a connection's
+/// unsent replies exceed kOutHighWater bytes, its worker stops reading
+/// and dispatching for it -- unread frames wait in the parser, unread
+/// bytes in the kernel, so a client that pipelines and never reads
+/// stalls itself instead of growing the server -- until flushing
+/// drains the backlog to kOutLowWater. The backlog overshoots the mark
+/// by at most one reply (a SCAN page).
+inline constexpr std::size_t kOutHighWater = 256 * 1024;
+inline constexpr std::size_t kOutLowWater = kOutHighWater / 4;
+/// Bytes read from one connection per wakeup: bounds the parser's
+/// input backlog (kReadBudget + one partial frame) and keeps one busy
+/// pipeliner from monopolising its worker.
+inline constexpr std::size_t kReadBudget = 64 * 1024;
+
 struct ServerConfig {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 = ephemeral; Server::port() reports the binding
@@ -84,6 +98,13 @@ struct ServerStats {
   long protocol_errors = 0; // malformed streams (connection closed)
   int faults_fired = 0;
   int reaps = 0;            // crashed leases reaped by the supervisor
+  // The output bound's use: unsent reply bytes now (all connections),
+  // the largest single-connection backlog and parser input backlog
+  // ever seen, and how often a connection tripped the high-water mark.
+  long out_buffered = 0;
+  long out_peak = 0;
+  long in_peak = 0;
+  long backpressure_trips = 0;
 };
 
 class Server {

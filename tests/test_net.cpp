@@ -4,17 +4,24 @@
 // Server on an ephemeral port driven by the real run_loadgen engine,
 // asserting the exact client/server ledger match, a valid structure
 // and a bounded limbo afterwards, plus the injected-crash path
-// (abandon -> -ERR -> re-lease -> supervisor reap) over the wire.
+// (abandon -> -ERR -> re-lease -> supervisor reap) over the wire and
+// the per-connection output bound against a never-reading pipeliner.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/harness/catalog.hpp"
 #include "src/net/loadgen.hpp"
 #include "src/net/protocol.hpp"
 #include "src/net/server.hpp"
+#include "src/net/socket.hpp"
 
 namespace pragmalist {
 namespace {
@@ -389,6 +396,128 @@ TEST(Loopback, InjectedCrashReLeasesAndReaps) {
   const faults::BlastStats blast = server.set().blast_stats();
   EXPECT_EQ(blast.crashed_slots, 0u);
   EXPECT_EQ(blast.leaked_cells, 0u);
+}
+
+// One client pipelines `SCAN 0 4096` frames and never reads. Without
+// backpressure every reply piles up in the connection's output buffer
+// (a 6 MB burst of such frames once grew the server to 1.7 GB). With
+// it the worker pauses the connection at the high-water mark, so the
+// server's buffers stay bounded while the client's sends back up in
+// the kernel. Then the client drains: every request it sent is
+// answered exactly once, and the server's ledger matches.
+TEST(Backpressure, NeverReadingPipelinerStaysBounded) {
+  constexpr long kKeys = 1024;
+  constexpr int kFrames = 2000;
+  net::ServerConfig scfg;
+  scfg.port = 0;
+  scfg.set_id = "singly/ebr";
+  scfg.workers = 1;
+  net::Server server(scfg);
+  {
+    auto h = server.set().make_handle();
+    for (long k = 0; k < kKeys; ++k) ASSERT_TRUE(h->add(k));
+  }
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  std::vector<long> keys(kKeys);
+  for (long k = 0; k < kKeys; ++k) keys[static_cast<std::size_t>(k)] = k;
+  std::string one_reply;
+  net::protocol::encode_int_array(one_reply, keys);
+  std::string requests;
+  for (int i = 0; i < kFrames; ++i) requests += frame_of({"SCAN", "0", "4096"});
+  // Unbounded, the server would have to hold far more than the mark.
+  ASSERT_GT(one_reply.size() * kFrames, 20 * net::kOutHighWater);
+
+  // A small receive window, so the server's writes block early.
+  net::Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(fd.valid());
+  const int small = 4096;
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  ASSERT_TRUE(net::make_addr("127.0.0.1", server.port(), &addr));
+  ASSERT_EQ(::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  net::set_nonblocking(fd.get());
+
+  // Phase 1: send as much as the kernel takes, read nothing.
+  std::size_t sent = 0;
+  auto send_some = [&] {
+    while (sent < requests.size()) {
+      const ssize_t n = ::send(fd.get(), requests.data() + sent,
+                               requests.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+  };
+  send_some();
+  // Wait for the server to stall: tripped, and no frame dispatched for
+  // a while.
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = Clock::now() + std::chrono::seconds(20);
+  long last_frames = -1;
+  int quiet = 0;
+  while (Clock::now() < deadline && quiet < 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    send_some();
+    const net::ServerStats st = server.stats();
+    const bool idle = st.backpressure_trips > 0 && st.frames == last_frames;
+    quiet = idle ? quiet + 1 : 0;
+    last_frames = st.frames;
+  }
+  const net::ServerStats stalled = server.stats();
+  EXPECT_GT(stalled.backpressure_trips, 0);
+  EXPECT_LT(stalled.frames, kFrames) << "the silent client was served in full";
+  // The bounds: the output backlog passes the mark by one reply at
+  // most; the parser holds one read budget plus a partial frame.
+  EXPECT_LE(static_cast<std::size_t>(stalled.out_peak),
+            net::kOutHighWater + one_reply.size());
+  EXPECT_LE(static_cast<std::size_t>(stalled.out_buffered),
+            net::kOutHighWater + one_reply.size());
+  EXPECT_LE(static_cast<std::size_t>(stalled.in_peak),
+            net::kReadBudget + scfg.max_frame);
+  const std::string info = server.info();
+  EXPECT_NE(info.find("backpressure_trips:" +
+                      std::to_string(stalled.backpressure_trips)),
+            std::string::npos);
+  EXPECT_NE(info.find("out_high_water:" + std::to_string(net::kOutHighWater)),
+            std::string::npos);
+
+  // Phase 2: drain. Every request is answered exactly once, in order.
+  ReplyParser rp(2 * one_reply.size());
+  int answered = 0;
+  char buf[65536];
+  while (answered < kFrames && Clock::now() < deadline) {
+    send_some();
+    const short want = sent < requests.size() ? POLLIN | POLLOUT : POLLIN;
+    pollfd pfd{fd.get(), want, 0};
+    ::poll(&pfd, 1, 100);
+    const ssize_t n = ::recv(fd.get(), buf, sizeof(buf), 0);
+    if (n == 0) break;
+    if (n < 0) continue;
+    rp.feed(buf, static_cast<std::size_t>(n));
+    Reply r;
+    for (ParseStatus st; (st = rp.next(&r)) != ParseStatus::kNeedMore;) {
+      ASSERT_EQ(st, ParseStatus::kFrame) << rp.error();
+      ASSERT_EQ(r.type, Reply::Type::kIntArray) << r.text;
+      ASSERT_EQ(r.ints, keys);
+      ++answered;
+    }
+  }
+  EXPECT_EQ(answered, kFrames);
+  EXPECT_EQ(sent, requests.size());
+  EXPECT_NE(server.info().find("scan_calls:" + std::to_string(kFrames) + "\n"),
+            std::string::npos);
+  fd.reset();
+
+  server.stop();
+  const core::OpCounters ledger = server.ledger();
+  EXPECT_EQ(ledger.scan_calls, kFrames);
+  EXPECT_EQ(ledger.scans, kFrames * kKeys);
+  EXPECT_EQ(ledger.total_ops(), kFrames);
+  std::string why;
+  EXPECT_TRUE(server.set().validate(&why)) << why;
 }
 
 TEST(Server, InfoIsServableWhileServing) {

@@ -1,26 +1,23 @@
 #!/usr/bin/env bash
 # Fail if a catalog id registered in src/harness/catalog.cpp is not
-# documented in docs/CATALOG.md (as a backticked `id`). Covers both the
-# static kEntries ids and the shardable bases of kShardedEntries: every
-# shardable base must be documented with its `/shN`-suffixed form
-# (e.g. `singly/ebr/shN`). Run by the CI docs job; runnable locally
-# from anywhere in the repo.
+# documented in docs/CATALOG.md (as a backticked `id`). Reads the one
+# registration table, kEntries: every row is `single<T>("id", ...)` or
+# `shardable<T>("id", ...)`, and every shardable row must also be
+# documented with its `/shN`-suffixed form (e.g. `singly/ebr/shN`).
+# Run by the CI docs job; runnable locally from anywhere in the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Static ids: scan only the kEntries array so a clang-format wrap after
-# the id string can never silently drop an id from enforcement.
-ids=$(sed -n '/kEntries\[\]/,/^};/p' src/harness/catalog.cpp |
-      grep -oE '\{"[a-z0-9_/]+"' |
-      sed -E 's/\{"([a-z0-9_/]+)"/\1/')
+# Scan only the kEntries array, joined onto one line so a clang-format
+# wrap between a row's maker and its id can never silently drop an id
+# from enforcement. Output: one "<kind> <id>" pair per row.
+rows=$(sed -n '/kEntries\[\]/,/^};/p' src/harness/catalog.cpp |
+       tr '\n' ' ' |
+       grep -oE '\b(single|shardable)<[^>]*>\( *"[a-z0-9_/]+"' |
+       sed -E 's/^(single|shardable)<[^>]*>\( *"([a-z0-9_/]+)"/\1 \2/')
+ids=$(echo "$rows" | awk 'NF == 2 { print $2 }')
+bases=$(echo "$rows" | awk '$1 == "shardable" { print $2 }')
 test -n "$ids" || { echo "no catalog ids parsed from catalog.cpp"; exit 1; }
-
-# Shardable bases: scan only the kShardedEntries array (its entries are
-# {"base", &make_...}, possibly wrapped after the base by clang-format)
-# so a wrapped kEntries line can never be misread as a base.
-bases=$(sed -n '/kShardedEntries\[\]/,/^};/p' src/harness/catalog.cpp |
-        grep -oE '\{"[a-z0-9_/]+"' |
-        sed -E 's/\{"([a-z0-9_/]+)"/\1/')
 test -n "$bases" || { echo "no shardable bases parsed from catalog.cpp"; exit 1; }
 
 missing=0

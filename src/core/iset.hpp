@@ -91,14 +91,13 @@ struct OpCounters {
 //     (all engines)   the reattempt walk, sweep losses resume from prev
 //
 // The arena/EBR mild `contains` column is the paper's claim made
-// enforceable: the walk in SinglyFamilyList::do_contains /
-// DoublyFamilyList::do_contains issues no CAS and never loops back --
-// the engines export kContainsCasFree / kContainsRestartFree and
-// variants.hpp static_asserts the whole grid, so a regression that
-// adds a CAS or a restart to that path fails to compile, not to
-// benchmark. Hint-index lookups keep every guarantee above: a stale
-// hint costs one failed validation and decays (next candidate, then
-// head) -- never a retry loop.
+// enforceable: the walk in ListFamily::do_contains issues no CAS and
+// never loops back -- the engine exports kContainsCasFree /
+// kContainsRestartFree and variants.hpp static_asserts the whole grid,
+// so a regression that adds a CAS or a restart to that path fails to
+// compile, not to benchmark. Hint-index lookups keep every guarantee
+// above: a stale hint costs one failed validation and decays (next
+// candidate, then head) -- never a retry loop.
 
 /// Receives the keys a range scan emits, in ascending order.
 using KeySink = std::function<void(long)>;

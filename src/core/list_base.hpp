@@ -26,12 +26,13 @@ namespace pragmalist::core {
 
 inline constexpr std::uintptr_t kMarkBit = 1;
 
-// Design knobs of the paper's variants; see singly_family.hpp for the
+// Design knobs of the paper's variants; see list_family.hpp for the
 // full semantics of each.
 enum class Traversal { kDraconic, kMild };
 enum class Marking { kCas, kFetchOr };
 enum class Cursor { kNone, kPerHandle };
 enum class Backoff { kNone, kExponential };
+enum class Back { kNone, kImprecise, kPrecise };
 
 /// Bounded exponential backoff for CAS retry loops (the ablation's
 /// `backoff` knob). Starts at 16 pause iterations, doubles to 1024.
@@ -206,7 +207,7 @@ namespace hazard {
 inline constexpr int kAnchor = 0;  // last live predecessor `prev`
 inline constexpr int kWalk = 1;    // the node the walk stands on
 inline constexpr int kRun = 2;     // current dead run's head; reused as
-                                   // the doubly family's succ pin
+                                   // the doubly variants' succ pin
 inline constexpr int kCursor = 3;  // per-handle cursor, held across ops
 
 // The persistent kCursor cell is a per-*thread* resource: under a

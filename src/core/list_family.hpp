@@ -1,6 +1,6 @@
-// The singly-linked variants of the paper, one engine templated on the
-// three design knobs the ablation bench isolates plus a pluggable
-// memory-reclamation policy:
+// The marked-pointer list engine behind every paper variant: one
+// template over the design knobs the ablation bench isolates plus a
+// pluggable memory-reclamation policy.
 //
 //   Traversal::kDraconic  -- Michael-style: a traversal may never pass a
 //     marked node; it must unlink it first and restart from the head
@@ -15,6 +15,19 @@
 //     it stood on and starts the next search there when the target key
 //     is larger.
 //   Backoff::kExponential -- exponential backoff on retry loops.
+//   Back::kImprecise / kPrecise -- the doubly-linked variants (c, f):
+//     the mild list plus an unsynchronized back pointer per node. The
+//     back pointer is a *hint*, never part of the correctness argument
+//     for membership: it always points to some node with a strictly
+//     smaller key (initially the insert predecessor), so following back
+//     pointers from a dead node reaches a live node with key < target
+//     and the search resumes there instead of at the head. That turns a
+//     failed cleanup CAS -- and a handle's dead cursor -- into a short
+//     local walk. kPrecise refreshes the survivor's back pointer after
+//     every successful unlink/insert so hints stay one hop tight;
+//     kImprecise (ablation id `doubly_cursor_noprec`) leaves the
+//     insert-time hint in place and walks farther on recovery. The
+//     paper has no draconic doubly list, so Back implies kMild.
 //
 //   ReclaimPolicy (src/reclaim/) -- reclaim::Arena is the paper's
 //     scheme: nothing is freed mid-run, stale pointers stay valid,
@@ -30,12 +43,24 @@
 // argument). The pragmatic variants keep their no-CAS contains()
 // under HP -- they pay publish+revalidate per step instead.
 //
-// Instantiations (paper letters): a) DraconicList, b) SinglyList,
-// d) SinglyCursorList, e) SinglyFetchOrList, plus the ablation-only
-// SinglyCursorBackoffList. The variant x reclaimer grid is named in
-// variants.hpp.
+// Back pointers are an *arena artifact*: one is never cleaned when its
+// target dies, so under a reclaiming policy it may name long-freed
+// memory (the paper itself leans on the end-of-run arena here). With
+// reclaim::Ebr or reclaim::Hp the engine therefore never dereferences
+// back pointers -- recover() degrades to a head restart -- and the
+// doubly variants behave like the singly pragmatic list that still
+// *maintains* the hints. Under HP the successor is pinned around an
+// unlink (in the between-searches-idle kRun slot) so the precise-back
+// refresh can still write through it safely.
+//
+// Instantiations (paper letters) are named in variants.hpp: a)
+// DraconicList, b) SinglyList, c) DoublyList, d) SinglyCursorList, e)
+// SinglyFetchOrList, f) DoublyCursorList, plus the ablation-only
+// SinglyCursorBackoffList and DoublyCursorNoPrecList, each under every
+// reclaimer.
 #pragma once
 
+#include <atomic>
 #include <limits>
 #include <memory>
 #include <string>
@@ -51,17 +76,39 @@
 
 namespace pragmalist::core {
 
+/// The node's back-pointer field, present only in the doubly variants:
+/// an empty base otherwise, so singly nodes keep their size.
+template <typename Node, bool kOn>
+struct BackLink {
+  explicit BackLink(Node*) {}
+};
+template <typename Node>
+struct BackLink<Node, true> {
+  explicit BackLink(Node* pred) : back(pred) {}
+  std::atomic<Node*> back;
+};
+
 template <Traversal kTraversal, Marking kMarking, Cursor kCursor,
-          Backoff kBackoff,
+          Backoff kBackoff, Back kBack,
           template <typename> class ReclaimPolicy = reclaim::Arena>
-class SinglyFamilyList {
-  struct Node {
+class ListFamily {
+  static_assert(kBack == Back::kNone || kTraversal == Traversal::kMild,
+                "the paper has no draconic doubly list");
+
+  static constexpr bool kBackOn = kBack != Back::kNone;
+
+  struct Node : BackLink<Node, kBackOn> {
     long key;
     MarkPtr<Node> next;
     Node* reg_next = nullptr;
 
-    explicit Node(long k, Node* succ = nullptr) : key(k), next(succ) {}
+    explicit Node(long k, Node* succ = nullptr, Node* pred = nullptr)
+        : BackLink<Node, kBackOn>(pred), key(k), next(succ) {}
   };
+  // 24 B singly / 32 B doubly: the merge must not grow singly nodes
+  // (footprint and cache density of every singly cell depend on it).
+  static_assert(sizeof(Node) == (kBackOn ? 4 : 3) * sizeof(void*),
+                "unexpected list node layout");
 
  public:
   /// The reclamation *domain* this engine runs against. Stand-alone
@@ -88,13 +135,13 @@ class SinglyFamilyList {
 
  private:
   static constexpr bool kHazards = Reclaim::kHazards;
+  static constexpr bool kStable = Reclaim::kStableAddresses;
   // Cursors hold a node pointer across operations, which needs
   // addresses that stay dereferenceable between ops: stable (arena)
   // addresses, or a hazard slot pinning the cursor node. EBR offers
   // neither, so the cursor knob degrades to start-from-head there.
   static constexpr bool kCursorOn =
-      kCursor == Cursor::kPerHandle &&
-      (Reclaim::kStableAddresses || Reclaim::kHazards);
+      kCursor == Cursor::kPerHandle && (kStable || kHazards);
 
  public:
   class Handle {
@@ -142,13 +189,13 @@ class SinglyFamilyList {
     Handle& operator=(const Handle&) = delete;
 
    private:
-    friend class SinglyFamilyList;
-    Handle(SinglyFamilyList* list, ReclaimHandle rh)  // owning
+    friend class ListFamily;
+    Handle(ListFamily* list, ReclaimHandle rh)  // owning
         : list_(list), rh_(std::move(rh)) {}
-    Handle(SinglyFamilyList* list, ReclaimHandle* rh)  // borrowing
+    Handle(ListFamily* list, ReclaimHandle* rh)  // borrowing
         : list_(list), rh_(rh) {}
 
-    SinglyFamilyList* list_;
+    ListFamily* list_;
     // Stand-alone handles own their reclaim handle; shard handles
     // borrow the one their worker leased for the whole sharded set.
     reclaim::MaybeOwned<ReclaimHandle> rh_;
@@ -157,20 +204,20 @@ class SinglyFamilyList {
     unsigned hint_tick_ = 0;  // throttles hint publishes (1 in 8 ops)
   };
 
-  explicit SinglyFamilyList(std::shared_ptr<Reclaim> domain = nullptr,
-                            bool hints = true)
+  explicit ListFamily(std::shared_ptr<Reclaim> domain = nullptr,
+                      bool hints = true)
       : domain_(domain ? std::move(domain) : std::make_shared<Reclaim>()),
         head_(domain_->construct(kSentinelKey)),
         hints_(hints) {
     domain_->track(head_);
   }
   /// Stand-alone list with an explicit allocation mode (slab twins).
-  explicit SinglyFamilyList(alloc::Mode mode, bool hints = true)
-      : SinglyFamilyList(std::make_shared<Reclaim>(mode), hints) {}
-  SinglyFamilyList(const SinglyFamilyList&) = delete;
-  SinglyFamilyList& operator=(const SinglyFamilyList&) = delete;
+  explicit ListFamily(alloc::Mode mode, bool hints = true)
+      : ListFamily(std::make_shared<Reclaim>(mode), hints) {}
+  ListFamily(const ListFamily&) = delete;
+  ListFamily& operator=(const ListFamily&) = delete;
 
-  ~SinglyFamilyList() {
+  ~ListFamily() {
     if constexpr (Reclaim::kReclaims) {
       // The arena owns every node it tracked; a reclaiming policy only
       // owns the retired ones, so the still-linked chain (live or
@@ -195,7 +242,27 @@ class SinglyFamilyList {
   // --- quiescent API ------------------------------------------------
 
   bool validate(std::string* err) const {
-    return quiescent::validate_chain(head_, domain_->live_nodes() + 1, err);
+    if (!quiescent::validate_chain(head_, domain_->live_nodes() + 1, err))
+      return false;
+    if constexpr (kBackOn && kStable) {
+      // Back-pointer sanity: every linked node's hint has a strictly
+      // smaller key (or is the head sentinel). Only checkable under the
+      // arena -- with mid-run reclamation the hints may dangle and are
+      // never dereferenced, by the engine or by us.
+      for (const Node* n = head_->next.load_ptr(); n != nullptr;
+           n = n->next.load().ptr) {
+        const Node* b = n->back.load(std::memory_order_relaxed);
+        if (b == nullptr) {
+          if (err) *err = "node with null back pointer";
+          return false;
+        }
+        if (b != head_ && b->key >= n->key) {
+          if (err) *err = "back pointer does not decrease the key";
+          return false;
+        }
+      }
+    }
+    return true;
   }
   std::size_t size() const { return quiescent::size(head_); }
   std::vector<long> snapshot() const { return quiescent::snapshot(head_); }
@@ -206,30 +273,15 @@ class SinglyFamilyList {
   /// shared -- which is exactly what the footprint bounds want.
   std::size_t allocated_nodes() const { return domain_->live_nodes(); }
 
-  /// Retired-and-not-yet-freed count (0 under the arena); the soak
-  /// harness samples it as the limbo-depth series.
-  std::size_t limbo_nodes() const {
-    if constexpr (Reclaim::kReclaims)
-      return domain_->limbo_nodes();
-    else
-      return 0;
-  }
+  /// Retired-and-not-yet-freed count; the soak harness samples it as
+  /// the limbo-depth series.
+  std::size_t limbo_nodes() const { return domain_->limbo_nodes(); }
 
   /// Supervisor recovery and blast-radius metrics, forwarded to the
   /// reclamation domain (no-op / all-zero under the arena). See
   /// src/faults/faults.hpp.
-  std::size_t reap_crashed() {
-    if constexpr (Reclaim::kReclaims)
-      return domain_->reap_crashed();
-    else
-      return 0;
-  }
-  faults::BlastStats blast_stats() const {
-    if constexpr (Reclaim::kReclaims)
-      return domain_->blast_stats();
-    else
-      return {};
-  }
+  std::size_t reap_crashed() { return domain_->reap_crashed(); }
+  faults::BlastStats blast_stats() const { return domain_->blast_stats(); }
 
   /// Test-only: break the order invariant by swapping the keys of the
   /// first two physically linked nodes (requires >= 2 nodes).
@@ -251,6 +303,31 @@ class SinglyFamilyList {
     Node* cur;   // first live node with key >= target, or nullptr
   };
 
+  /// Doubly variants: walk back pointers from `n` until a live node
+  /// (keys strictly decrease along the chain, so this terminates at the
+  /// head). Under a reclaiming policy the hints may dangle, so a dead
+  /// start falls back to the head instead.
+  Node* recover(Node* n) const {
+    if constexpr (kStable) {
+      while (n != head_ && n->next.load().marked)
+        n = n->back.load(std::memory_order_acquire);
+      return n;
+    } else {
+      return (n != head_ && n->next.load().marked) ? head_ : n;
+    }
+  }
+
+  /// Precise-back refresh: a successful CAS just made `pred` the
+  /// predecessor of `n`, so point n's hint there. The caller keeps `n`
+  /// covered (arena: stable; EBR: the op's pin; HP: a hazard slot), so
+  /// the write cannot hit freed memory even if `n` was concurrently
+  /// retired.
+  static void refresh_back(Node* n, Node* pred) {
+    if constexpr (kBack == Back::kPrecise) {
+      if (n != nullptr) n->back.store(pred, std::memory_order_release);
+    }
+  }
+
   /// Forget the handle's cursor hint, releasing the persistent hazard
   /// cell only if this engine still owns it (core::hazard's
   /// owner-tagged cursor protocol; under a sharded set the cell may
@@ -268,7 +345,8 @@ class SinglyFamilyList {
   /// re-read the slot seq_cst -- still naming it means the protection
   /// is ordered before any purge, hence before the retire that could
   /// free it -- then the same key/mark check. Either way the candidate
-  /// stays covered through the caller's start-node pick.
+  /// stays covered through the caller's start-node pick. Back pointers
+  /// are irrelevant here: a hint is validated forward like any anchor.
   Node* hint_start(Handle& h, long key) {
     if constexpr (kHazards) {
       return hints_.best(key, [&](Node* n, int slot) {
@@ -304,7 +382,20 @@ class SinglyFamilyList {
         if (!hazard::owns_cursor(*h.rh_, this)) h.cursor_ = nullptr;
       }
       c = h.cursor_;
-      if (c != nullptr && !(c->key < key && !c->next.load().marked)) {
+      if constexpr (kBackOn) {
+        if (c != nullptr && c->key < key) {
+          c = recover(c);  // dead cursor: hop back instead of head restart
+          if (c == head_) {
+            c = nullptr;  // keep the cursor; the head floor wins below
+          } else if (c->key >= key) {
+            drop_cursor(h);
+            c = nullptr;
+          }
+        } else if (c != nullptr) {
+          drop_cursor(h);
+          c = nullptr;
+        }
+      } else if (c != nullptr && !(c->key < key && !c->next.load().marked)) {
         // Unmarked implies still physically linked (nodes are only ever
         // unlinked after being marked), so the suffix from a validated
         // cursor is a valid place to begin. Under HP the cursor slot
@@ -361,10 +452,11 @@ class SinglyFamilyList {
     Backoffer bo;
     Node* start = start_node(h, key);
     for (;;) {
+      if constexpr (kBackOn) start = recover(start);
       Node* prev = start;
       const auto pv = prev->next.load();
-      if (pv.marked) {  // cursor start died between check and here
-        start = head_;
+      if (pv.marked) {  // start died between its check and here
+        if constexpr (!kBackOn) start = head_;  // doubly: recover() hops
         continue;
       }
       Node* left_next = pv.ptr;  // the value we will CAS against at prev
@@ -400,20 +492,25 @@ class SinglyFamilyList {
         if (left_next == cur) return {prev, cur};
         // Swing the whole dead run [left_next..cur) out in one CAS.
         if (prev->next.cas_clean(left_next, cur)) {
+          refresh_back(cur, prev);
           retire_run(h, left_next, cur);
           return {prev, cur};
         }
         restart = true;
       }
       // Lost the position (helping CAS or sweep CAS). The mild
-      // variants resume from prev while it lives -- dereferenceable
-      // here by construction (arena: stable addresses; EBR: the op's
-      // pin) -- so the validated prefix is never re-walked; draconic
-      // keeps its from-the-head discipline.
+      // variants resume from prev -- dereferenceable here by
+      // construction (arena: stable addresses; EBR: the op's pin) -- so
+      // the validated prefix is never re-walked: the doubly variants
+      // let recover() hop back if prev itself died, the singly ones
+      // fall back to start_node(). Draconic keeps its from-the-head
+      // discipline.
       ++h.ctr_.restarts;
       if constexpr (kBackoff == Backoff::kExponential) bo.pause();
       if constexpr (kTraversal == Traversal::kDraconic)
         start = head_;
+      else if constexpr (kBackOn)
+        start = prev;
       else
         start = !prev->next.load().marked ? prev : start_node(h, key);
     }
@@ -422,11 +519,16 @@ class SinglyFamilyList {
   /// Hazard-pointer flavor of search: the shared anchored-validation
   /// walk. Returns with prev held in the anchor slot and cur in the
   /// walk slot; the caller may dereference both until its next search.
+  /// No back pointer is ever followed; a restart goes to the cursor,
+  /// hint or head.
   Pos search_hazard(Handle& h, long key) {
     const auto w = hazard::anchored_walk<kTraversal, kBackoff, true, Node>(
         *h.rh_, key, [&] { return start_node(h, key); },
         [&] { drop_cursor(h); },
-        [&](Node*, Node* first, Node* last) { retire_run(h, first, last); },
+        [&](Node* prev, Node* first, Node* last) {
+          refresh_back(last, prev);  // last is walk-slot protected
+          retire_run(h, first, last);
+        },
         &h.ctr_.restarts);
     return {w.prev, w.cur};
   }
@@ -442,12 +544,16 @@ class SinglyFamilyList {
         update_cursor(h, p.prev);
         return false;  // present (the node was live when observed)
       }
-      if (node == nullptr)
-        node = h.rh_->construct(key, p.cur);
-      else
+      if (node == nullptr) {
+        node = h.rh_->construct(key, p.cur, p.prev);
+      } else {
         node->next.store(p.cur);
+        if constexpr (kBackOn)
+          node->back.store(p.prev, std::memory_order_relaxed);
+      }
       if (p.prev->next.cas_clean(p.cur, node)) {
         domain_->track(node);
+        refresh_back(p.cur, node);
         if constexpr (kHazards) {
           update_cursor(h, p.prev);  // p.prev is anchor-protected; the
           maybe_publish(h, p.prev);  // fresh node is not in any slot
@@ -461,6 +567,36 @@ class SinglyFamilyList {
     }
   }
 
+  struct Marked {
+    bool won;    // this call set the mark (the remove is ours)
+    Node* succ;  // n's frozen successor when won
+  };
+
+  /// Logical deletion of `n`: one fetch_or (variant e) or a CAS-retry
+  /// on its next pointer.
+  static Marked mark(Node* n) {
+    if constexpr (kMarking == Marking::kFetchOr) {
+      const auto old = n->next.fetch_or_mark();
+      return {!old.marked, old.ptr};
+    } else {
+      for (;;) {
+        const auto cv = n->next.load();
+        if (cv.marked) return {false, nullptr};  // another remover won
+        if (n->next.cas_mark(cv.ptr)) return {true, cv.ptr};
+      }
+    }
+  }
+
+  /// Doubly variants under HP: pin succ before the unlink (the kRun
+  /// slot is free between searches). If the unlink CAS then succeeds,
+  /// succ was still attached when the hazard was already visible, so
+  /// the precise-back refresh may dereference it.
+  static void pin_succ(Handle& h, Node* succ) {
+    if constexpr (kHazards && kBackOn) {
+      if (succ != nullptr) h.rh_->protect(hazard::kRun, succ);
+    }
+  }
+
   bool do_remove(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
     const Pos p = search(h, key);
@@ -468,30 +604,16 @@ class SinglyFamilyList {
       update_cursor(h, p.prev);
       return false;
     }
-    bool won = false;
-    Node* succ = nullptr;
-    if constexpr (kMarking == Marking::kFetchOr) {
-      const auto old = p.cur->next.fetch_or_mark();
-      won = !old.marked;
-      succ = old.ptr;
-    } else {
-      for (;;) {
-        const auto cv = p.cur->next.load();
-        if (cv.marked) break;  // another remover won
-        if (p.cur->next.cas_mark(cv.ptr)) {
-          won = true;
-          succ = cv.ptr;
-          break;
-        }
-      }
-    }
+    const Marked m = mark(p.cur);
     update_cursor(h, p.prev);
     maybe_publish(h, p.prev);
-    if (!won) return false;
+    if (!m.won) return false;
     // Physical unlink: one attempt in the mild variants (the next
     // search will sweep it), mandatory help in the draconic one. A
     // successful CAS detached exactly p.cur, so we own its retirement.
-    if (p.prev->next.cas_clean(p.cur, succ)) {
+    pin_succ(h, m.succ);
+    if (p.prev->next.cas_clean(p.cur, m.succ)) {
+      refresh_back(m.succ, p.prev);
       if constexpr (Reclaim::kReclaims) {
         hints_.purge(p.cur);
         h.rh_->retire(p.cur);
@@ -521,54 +643,35 @@ class SinglyFamilyList {
   }
 
   /// kMidOpAbandon: win the remove's marking CAS, then vanish -- no
-  /// unlink attempt, no draconic helping, no cursor update. The node
-  /// stays marked-but-linked until a survivor's traversal sweeps it:
-  /// exactly the cooperative-helping obligation a crashed peer leaves
-  /// behind. Returns whether the logical remove took effect.
+  /// unlink attempt, no draconic helping, no back-pointer refresh, no
+  /// cursor update. The node stays marked-but-linked until a
+  /// survivor's traversal sweeps it (and their recover() hops treat its
+  /// stale hint like any other imprecise one): exactly the
+  /// cooperative-helping obligation a crashed peer leaves behind.
+  /// Returns whether the logical remove took effect.
   bool do_remove_abandoned(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
     const Pos p = search(h, key);
     if (p.cur == nullptr || p.cur->key != key) return false;
-    if constexpr (kMarking == Marking::kFetchOr) {
-      return !p.cur->next.fetch_or_mark().marked;
-    } else {
-      for (;;) {
-        const auto cv = p.cur->next.load();
-        if (cv.marked) return false;  // another remover won
-        if (p.cur->next.cas_mark(cv.ptr)) return true;
-      }
-    }
+    return mark(p.cur).won;
   }
 
   /// kRetireSkipped: a complete remove -- mark and unlink -- that dies
-  /// between the unlink CAS and the retire. The detached node goes to
-  /// the domain's leak ledger instead of limbo; under the arena this
-  /// degrades to a normal remove (retire was a no-op anyway). A failed
-  /// unlink CAS leaves the node linked, degrading to kMidOpAbandon: a
-  /// survivor sweeps and retires it normally, and nothing leaks.
+  /// between the unlink CAS and the retire; the successor's back hint
+  /// is also left stale (hints are correctness-neutral; a crashed peer
+  /// maintains nothing). The detached node goes to the domain's leak
+  /// ledger instead of limbo; under the arena this degrades to a
+  /// normal remove (retire was a no-op anyway). A failed unlink CAS
+  /// leaves the node linked, degrading to kMidOpAbandon: a survivor
+  /// sweeps and retires it normally, and nothing leaks.
   bool do_remove_leaky(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
     const Pos p = search(h, key);
     if (p.cur == nullptr || p.cur->key != key) return false;
-    bool won = false;
-    Node* succ = nullptr;
-    if constexpr (kMarking == Marking::kFetchOr) {
-      const auto old = p.cur->next.fetch_or_mark();
-      won = !old.marked;
-      succ = old.ptr;
-    } else {
-      for (;;) {
-        const auto cv = p.cur->next.load();
-        if (cv.marked) break;
-        if (p.cur->next.cas_mark(cv.ptr)) {
-          won = true;
-          succ = cv.ptr;
-          break;
-        }
-      }
-    }
-    if (!won) return false;
-    if (p.prev->next.cas_clean(p.cur, succ)) {
+    const Marked m = mark(p.cur);
+    if (!m.won) return false;
+    pin_succ(h, m.succ);
+    if (p.prev->next.cas_clean(p.cur, m.succ)) {
       if constexpr (Reclaim::kReclaims) {
         hints_.purge(p.cur);  // a leaked node is freed at teardown, but
         h.rh_->leak(p.cur);   // it leaves the live chain now
@@ -610,8 +713,8 @@ class SinglyFamilyList {
   /// in [from, hi], at most `limit` (< 0 = unbounded). Protocol per
   /// policy: the arena walks freely, EBR pins once for the whole scan
   /// (the guard below), HP runs the re-anchoring hazard scan. Scans
-  /// are read-only on every variant -- even the draconic one -- and
-  /// never touch the handle's cursor.
+  /// walk forward only, are read-only on every variant -- even the
+  /// draconic one -- and never touch the handle's cursor.
   long do_scan(Handle& h, long from, long hi, long limit,
                const KeySink& sink) {
     [[maybe_unused]] auto guard = h.rh_->guard();
@@ -652,18 +755,5 @@ class SinglyFamilyList {
   Node* head_;
   HintIndex<Node> hints_;
 };
-
-using DraconicList = SinglyFamilyList<Traversal::kDraconic, Marking::kCas,
-                                      Cursor::kNone, Backoff::kNone>;
-using SinglyList = SinglyFamilyList<Traversal::kMild, Marking::kCas,
-                                    Cursor::kNone, Backoff::kNone>;
-using SinglyCursorList = SinglyFamilyList<Traversal::kMild, Marking::kCas,
-                                          Cursor::kPerHandle, Backoff::kNone>;
-using SinglyFetchOrList =
-    SinglyFamilyList<Traversal::kMild, Marking::kFetchOr, Cursor::kPerHandle,
-                     Backoff::kNone>;
-using SinglyCursorBackoffList =
-    SinglyFamilyList<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
-                     Backoff::kExponential>;
 
 }  // namespace pragmalist::core

@@ -351,25 +351,9 @@ class UnrolledFamilyList {
     return nodes;
   }
 
-  std::size_t limbo_nodes() const {
-    if constexpr (Reclaim::kReclaims)
-      return domain_->limbo_nodes();
-    else
-      return 0;
-  }
-
-  std::size_t reap_crashed() {
-    if constexpr (Reclaim::kReclaims)
-      return domain_->reap_crashed();
-    else
-      return 0;
-  }
-  faults::BlastStats blast_stats() const {
-    if constexpr (Reclaim::kReclaims)
-      return domain_->blast_stats();
-    else
-      return {};
-  }
+  std::size_t limbo_nodes() const { return domain_->limbo_nodes(); }
+  std::size_t reap_crashed() { return domain_->reap_crashed(); }
+  faults::BlastStats blast_stats() const { return domain_->blast_stats(); }
 
   /// Test-only: break the sorted-cells invariant of the first live
   /// node (requires a node with >= 2 keys).

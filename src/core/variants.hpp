@@ -1,5 +1,6 @@
 // Umbrella header: the six paper variants (a-f) plus the ablation-only
-// configurations, exactly as the bench layer names them.
+// configurations, exactly as the bench layer names them -- every one an
+// instantiation of the single ListFamily engine (list_family.hpp).
 //
 //   a) DraconicList        e) SinglyFetchOrList
 //   b) SinglyList          f) DoublyCursorList
@@ -11,31 +12,51 @@
 // spell the grid out once so the catalog and tests can name any cell.
 #pragma once
 
-#include "src/core/doubly_family.hpp"
 #include "src/core/iset.hpp"
-#include "src/core/singly_family.hpp"
+#include "src/core/list_family.hpp"
 #include "src/reclaim/reclaim.hpp"
 
 namespace pragmalist::core {
 
 template <template <typename> class R>
-using DraconicListWith = SinglyFamilyList<Traversal::kDraconic, Marking::kCas,
-                                          Cursor::kNone, Backoff::kNone, R>;
+using DraconicListWith = ListFamily<Traversal::kDraconic, Marking::kCas,
+                                    Cursor::kNone, Backoff::kNone, Back::kNone,
+                                    R>;
 template <template <typename> class R>
-using SinglyListWith = SinglyFamilyList<Traversal::kMild, Marking::kCas,
-                                        Cursor::kNone, Backoff::kNone, R>;
+using SinglyListWith = ListFamily<Traversal::kMild, Marking::kCas,
+                                  Cursor::kNone, Backoff::kNone, Back::kNone,
+                                  R>;
 template <template <typename> class R>
-using DoublyListWith = DoublyFamilyList<Cursor::kNone, true, R>;
+using DoublyListWith = ListFamily<Traversal::kMild, Marking::kCas,
+                                  Cursor::kNone, Backoff::kNone,
+                                  Back::kPrecise, R>;
 template <template <typename> class R>
 using SinglyCursorListWith =
-    SinglyFamilyList<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
-                     Backoff::kNone, R>;
+    ListFamily<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
+               Backoff::kNone, Back::kNone, R>;
 template <template <typename> class R>
 using SinglyFetchOrListWith =
-    SinglyFamilyList<Traversal::kMild, Marking::kFetchOr, Cursor::kPerHandle,
-                     Backoff::kNone, R>;
+    ListFamily<Traversal::kMild, Marking::kFetchOr, Cursor::kPerHandle,
+               Backoff::kNone, Back::kNone, R>;
 template <template <typename> class R>
-using DoublyCursorListWith = DoublyFamilyList<Cursor::kPerHandle, true, R>;
+using DoublyCursorListWith =
+    ListFamily<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
+               Backoff::kNone, Back::kPrecise, R>;
+
+using DraconicList = DraconicListWith<reclaim::Arena>;
+using SinglyList = SinglyListWith<reclaim::Arena>;
+using DoublyList = DoublyListWith<reclaim::Arena>;
+using SinglyCursorList = SinglyCursorListWith<reclaim::Arena>;
+using SinglyFetchOrList = SinglyFetchOrListWith<reclaim::Arena>;
+using DoublyCursorList = DoublyCursorListWith<reclaim::Arena>;
+
+// Ablation-only (arena): one knob each away from a paper variant.
+using SinglyCursorBackoffList =
+    ListFamily<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
+               Backoff::kExponential, Back::kNone>;
+using DoublyCursorNoPrecList =
+    ListFamily<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
+               Backoff::kNone, Back::kImprecise>;
 
 using DraconicListEbr = DraconicListWith<reclaim::Ebr>;
 using SinglyListEbr = SinglyListWith<reclaim::Ebr>;
@@ -69,8 +90,9 @@ static_assert(!SinglyListHp::kContainsRestartFree,
 static_assert(SinglyCursorList::kContainsRestartFree &&
                   SinglyFetchOrList::kContainsRestartFree &&
                   SinglyCursorListEbr::kContainsRestartFree &&
-                  SinglyFetchOrListEbr::kContainsRestartFree,
-              "cursor/fetch-or variants share the mild fast lane");
+                  SinglyFetchOrListEbr::kContainsRestartFree &&
+                  SinglyCursorBackoffList::kContainsRestartFree,
+              "cursor/fetch-or/backoff variants share the mild fast lane");
 static_assert(!DraconicList::kContainsCasFree &&
                   !DraconicListEbr::kContainsCasFree &&
                   !DraconicListHp::kContainsCasFree,
@@ -80,7 +102,8 @@ static_assert(DoublyList::kContainsCasFree &&
                   DoublyListHp::kContainsCasFree &&
                   DoublyCursorList::kContainsRestartFree &&
                   DoublyCursorListEbr::kContainsRestartFree &&
+                  DoublyCursorNoPrecList::kContainsRestartFree &&
                   !DoublyCursorListHp::kContainsRestartFree,
-              "doubly family: always mild, restart-free off hazards");
+              "doubly variants: always mild, restart-free off hazards");
 
 }  // namespace pragmalist::core

@@ -154,13 +154,6 @@ class SetAdapter final : public core::ISet {
   Structure inner_;
 };
 
-struct Entry {
-  std::string_view id;
-  std::string_view letter;
-  std::unique_ptr<core::ISet> (*make)(std::string id, alloc::Mode mode,
-                                      bool hints);
-};
-
 // Pool-allocating structures (the engines: Engine::kPoolAllocates,
 // surfaced as an alloc::Mode constructor) honor the catalog's node-
 // memory mode; everything else -- baselines, skiplist -- news its own
@@ -184,59 +177,13 @@ std::unique_ptr<core::ISet> make_adapter(std::string id, alloc::Mode mode,
   }
 }
 
-constexpr Entry kEntries[] = {
-    {"draconic", "a", &make_adapter<core::DraconicList>},
-    {"singly", "b", &make_adapter<core::SinglyList>},
-    {"doubly", "c", &make_adapter<core::DoublyList>},
-    {"singly_cursor", "d", &make_adapter<core::SinglyCursorList>},
-    {"singly_fetch_or", "e", &make_adapter<core::SinglyFetchOrList>},
-    {"doubly_cursor", "f", &make_adapter<core::DoublyCursorList>},
-    {"doubly_cursor_noprec", "-",
-     &make_adapter<core::DoublyCursorNoPrecList>},
-    {"singly_cursor_backoff", "-",
-     &make_adapter<core::SinglyCursorBackoffList>},
-    // The variant x reclaimer grid: the paper rows under real mid-run
-    // reclamation (the bare ids above are the paper's arena scheme).
-    {"draconic/ebr", "-", &make_adapter<core::DraconicListEbr>},
-    {"singly/ebr", "-", &make_adapter<core::SinglyListEbr>},
-    {"doubly/ebr", "-", &make_adapter<core::DoublyListEbr>},
-    {"singly_cursor/ebr", "-", &make_adapter<core::SinglyCursorListEbr>},
-    {"singly_fetch_or/ebr", "-", &make_adapter<core::SinglyFetchOrListEbr>},
-    {"doubly_cursor/ebr", "-", &make_adapter<core::DoublyCursorListEbr>},
-    {"draconic/hp", "-", &make_adapter<core::DraconicListHp>},
-    {"singly/hp", "-", &make_adapter<core::SinglyListHp>},
-    {"doubly/hp", "-", &make_adapter<core::DoublyListHp>},
-    {"singly_cursor/hp", "-", &make_adapter<core::SinglyCursorListHp>},
-    {"singly_fetch_or/hp", "-", &make_adapter<core::SinglyFetchOrListHp>},
-    {"doubly_cursor/hp", "-", &make_adapter<core::DoublyCursorListHp>},
-    // Unrolled fat-node family: K=8 sorted keys per cache-line-sized
-    // node (src/core/unrolled_family.hpp). Also reachable as
-    // `unrolled-k8/...` (dashes normalize to underscores in make_set).
-    {"unrolled_k8", "-", &make_adapter<core::UnrolledK8List>},
-    {"unrolled_k8/ebr", "-", &make_adapter<core::UnrolledK8ListEbr>},
-    {"unrolled_k8/hp", "-", &make_adapter<core::UnrolledK8ListHp>},
-    {"coarse_lock", "g", &make_adapter<baselines::CoarseLockList>},
-    {"lazy_lock", "h", &make_adapter<baselines::LazyLockList>},
-    {"hp_michael", "i", &make_adapter<baselines::HpMichaelList>},
-    {"ebr_michael", "j", &make_adapter<baselines::EbrMichaelList>},
-    {"skiplist", "k", &make_adapter<structures::SkipList>},
-    {"skiplist_draconic", "l", &make_adapter<structures::SkipListDraconic>},
-};
-
 // --- sharding: `<base>/shN` ids --------------------------------------
 //
-// Any of the bases below accepts a `/shN` suffix and is then built as
-// shard::ShardedSet<Engine> -- N hash-partitioned lists over one
+// A shardable row's id also accepts a `/shN` suffix and is then built
+// as shard::ShardedSet<Engine> -- N hash-partitioned lists over one
 // shared reclamation domain. Parsed dynamically so every N works; the
 // fixed `sharded_variant_ids()` list below is what the test tiers and
 // docs enumerate.
-
-struct ShardedEntry {
-  std::string_view base;
-  std::unique_ptr<core::ISet> (*make)(std::string id, int shards,
-                                      alloc::Mode mode, bool hints);
-};
-
 template <typename Engine>
 std::unique_ptr<core::ISet> make_sharded_adapter(std::string id, int shards,
                                                  alloc::Mode mode,
@@ -254,31 +201,65 @@ std::unique_ptr<core::ISet> make_sharded_adapter(std::string id, int shards,
       std::move(id), shards, mode, hints);
 }
 
-constexpr ShardedEntry kShardedEntries[] = {
-    {"draconic", &make_sharded_adapter<core::DraconicList>},
-    {"singly", &make_sharded_adapter<core::SinglyList>},
-    {"doubly", &make_sharded_adapter<core::DoublyList>},
-    {"singly_cursor", &make_sharded_adapter<core::SinglyCursorList>},
-    {"singly_fetch_or", &make_sharded_adapter<core::SinglyFetchOrList>},
-    {"doubly_cursor", &make_sharded_adapter<core::DoublyCursorList>},
-    {"draconic/ebr", &make_sharded_adapter<core::DraconicListEbr>},
-    {"singly/ebr", &make_sharded_adapter<core::SinglyListEbr>},
-    {"doubly/ebr", &make_sharded_adapter<core::DoublyListEbr>},
-    {"singly_cursor/ebr", &make_sharded_adapter<core::SinglyCursorListEbr>},
-    {"singly_fetch_or/ebr",
-     &make_sharded_adapter<core::SinglyFetchOrListEbr>},
-    {"doubly_cursor/ebr", &make_sharded_adapter<core::DoublyCursorListEbr>},
-    {"draconic/hp", &make_sharded_adapter<core::DraconicListHp>},
-    {"singly/hp", &make_sharded_adapter<core::SinglyListHp>},
-    {"doubly/hp", &make_sharded_adapter<core::DoublyListHp>},
-    {"singly_cursor/hp", &make_sharded_adapter<core::SinglyCursorListHp>},
-    {"singly_fetch_or/hp", &make_sharded_adapter<core::SinglyFetchOrListHp>},
-    {"doubly_cursor/hp", &make_sharded_adapter<core::DoublyCursorListHp>},
-    {"unrolled_k8", &make_sharded_adapter<core::UnrolledK8List>},
-    {"unrolled_k8/ebr", &make_sharded_adapter<core::UnrolledK8ListEbr>},
-    {"unrolled_k8/hp", &make_sharded_adapter<core::UnrolledK8ListHp>},
-    {"hp_michael", &make_sharded_adapter<baselines::HpMichaelList>},
-    {"ebr_michael", &make_sharded_adapter<baselines::EbrMichaelList>},
+struct Entry {
+  std::string_view id;
+  std::string_view letter;
+  std::unique_ptr<core::ISet> (*make)(std::string id, alloc::Mode mode,
+                                      bool hints);
+  // nullptr when the id takes no `/shN` suffix.
+  std::unique_ptr<core::ISet> (*make_sharded)(std::string id, int shards,
+                                              alloc::Mode mode, bool hints);
+};
+
+/// A row whose id is also a `/shN` base.
+template <typename S>
+constexpr Entry shardable(std::string_view id, std::string_view letter = "-") {
+  return {id, letter, &make_adapter<S>, &make_sharded_adapter<S>};
+}
+
+/// A row with no sharded form.
+template <typename S>
+constexpr Entry single(std::string_view id, std::string_view letter = "-") {
+  return {id, letter, &make_adapter<S>, nullptr};
+}
+
+// The one registration list: every id make_set accepts, in the order
+// the tests and docs enumerate them.
+constexpr Entry kEntries[] = {
+    shardable<core::DraconicList>("draconic", "a"),
+    shardable<core::SinglyList>("singly", "b"),
+    shardable<core::DoublyList>("doubly", "c"),
+    shardable<core::SinglyCursorList>("singly_cursor", "d"),
+    shardable<core::SinglyFetchOrList>("singly_fetch_or", "e"),
+    shardable<core::DoublyCursorList>("doubly_cursor", "f"),
+    single<core::DoublyCursorNoPrecList>("doubly_cursor_noprec"),
+    single<core::SinglyCursorBackoffList>("singly_cursor_backoff"),
+    // The variant x reclaimer grid: the paper rows under real mid-run
+    // reclamation (the bare ids above are the paper's arena scheme).
+    shardable<core::DraconicListEbr>("draconic/ebr"),
+    shardable<core::SinglyListEbr>("singly/ebr"),
+    shardable<core::DoublyListEbr>("doubly/ebr"),
+    shardable<core::SinglyCursorListEbr>("singly_cursor/ebr"),
+    shardable<core::SinglyFetchOrListEbr>("singly_fetch_or/ebr"),
+    shardable<core::DoublyCursorListEbr>("doubly_cursor/ebr"),
+    shardable<core::DraconicListHp>("draconic/hp"),
+    shardable<core::SinglyListHp>("singly/hp"),
+    shardable<core::DoublyListHp>("doubly/hp"),
+    shardable<core::SinglyCursorListHp>("singly_cursor/hp"),
+    shardable<core::SinglyFetchOrListHp>("singly_fetch_or/hp"),
+    shardable<core::DoublyCursorListHp>("doubly_cursor/hp"),
+    // Unrolled fat-node family: K=8 sorted keys per cache-line-sized
+    // node (src/core/unrolled_family.hpp). Also reachable as
+    // `unrolled-k8/...` (dashes normalize to underscores in make_set).
+    shardable<core::UnrolledK8List>("unrolled_k8"),
+    shardable<core::UnrolledK8ListEbr>("unrolled_k8/ebr"),
+    shardable<core::UnrolledK8ListHp>("unrolled_k8/hp"),
+    single<baselines::CoarseLockList>("coarse_lock", "g"),
+    single<baselines::LazyLockList>("lazy_lock", "h"),
+    shardable<baselines::HpMichaelList>("hp_michael", "i"),
+    shardable<baselines::EbrMichaelList>("ebr_michael", "j"),
+    single<structures::SkipList>("skiplist", "k"),
+    single<structures::SkipListDraconic>("skiplist_draconic", "l"),
 };
 
 /// Split `<base>/shN` into base and shard count. Returns false when the
@@ -305,14 +286,15 @@ std::unique_ptr<core::ISet> make_sharded_set(std::string_view id,
                                              bool hints) {
   PRAGMALIST_CHECK(shards >= 1 && shards <= 1024,
                    "shard count must be in [1, 1024]");
-  for (const auto& entry : kShardedEntries)
-    if (entry.base == base)
-      return entry.make(std::string(id), shards, mode, hints);
+  for (const auto& entry : kEntries)
+    if (entry.id == base && entry.make_sharded != nullptr)
+      return entry.make_sharded(std::string(id), shards, mode, hints);
   std::string msg = "id '" + std::string(id) + "' has a /shN suffix but '" +
                     std::string(base) + "' is not shardable; bases:";
-  for (const auto& entry : kShardedEntries) {
+  for (const auto& entry : kEntries) {
+    if (entry.make_sharded == nullptr) continue;
     msg += ' ';
-    msg += entry.base;
+    msg += entry.id;
   }
   PRAGMALIST_CHECK(false, msg.c_str());
   __builtin_unreachable();

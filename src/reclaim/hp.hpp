@@ -23,7 +23,7 @@
 //
 // Slot-role conventions are the caller's business: the Michael
 // baseline uses three (cur/succ/pred); the pragmatic engines use four
-// (anchor/walk/succ + a persistent cursor slot, see singly_family.hpp).
+// (anchor/walk/run + a persistent cursor slot, see list_base.hpp).
 //
 // Cursor-slot reuse (departure/arrival protocol): hazard slots are a
 // fixed kMaxHandles-entry table, so a long-running service must

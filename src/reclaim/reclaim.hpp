@@ -9,12 +9,12 @@
 //       Nodes are never freed (or reused) while the list is alive, so
 //       raw node pointers stay dereferenceable across operations. Only
 //       the arena guarantees this; it is what makes per-handle cursors
-//       and the doubly family's back-pointer hints safe without any
+//       and the doubly variants' back-pointer hints safe without any
 //       per-access protection.
 //   static constexpr bool kHazards;
 //       Traversals must publish a hazard pointer on every node before
 //       dereferencing it and revalidate reachability afterwards (see
-//       singly_family.hpp for the anchored-validation walk). Implies
+//       list_base.hpp for the anchored-validation walk). Implies
 //       per-access cost but per-thread bounded garbage.
 //   static constexpr bool kReclaims;
 //       retire() eventually frees nodes mid-run. When true the list
@@ -31,9 +31,9 @@
 //   void track(Node* n);         // called once per *published* node
 //   std::size_t live_nodes();    // tracked minus freed: the node
 //                                // footprint the churn tests bound
-//   std::size_t limbo_nodes();   // reclaiming policies only: retired
-//                                // but not yet freed -- the limbo
-//                                // depth the soak harness samples
+//   std::size_t limbo_nodes();   // retired but not yet freed -- the
+//                                // limbo depth the soak harness
+//                                // samples (always 0 for the arena)
 //
 // Per-thread Handle surface:
 //   auto guard();                // RAII critical section around one
@@ -55,10 +55,11 @@
 //                                     // with a guard/cell still held;
 //                                     // the handle is dead afterwards
 // and the reclaiming policies add Handle::leak(Node*) (a
-// retire-skipped node the domain attributes) plus domain-level
+// retire-skipped node the domain attributes). Every domain has
 // reap_crashed() / blast_stats() for supervisor recovery and the
-// blast-radius metrics. Arena's abandon is a no-op -- it is
-// fault-oblivious by construction.
+// blast-radius metrics, so engines forward them without a policy
+// branch. Arena's abandon is a no-op and its reap/blast answers are
+// 0 / all-zero -- it is fault-oblivious by construction.
 //
 // Each policy header states its progress guarantee, worst-case memory
 // bound, and the traversal capabilities it demands of the engine.

@@ -301,28 +301,13 @@ class ShardedSet {
   /// Domain-wide (the shared domain already aggregates every shard).
   std::size_t allocated_nodes() const { return domain_->live_nodes(); }
 
-  std::size_t limbo_nodes() const {
-    if constexpr (Reclaim::kReclaims)
-      return domain_->limbo_nodes();
-    else
-      return 0;
-  }
+  std::size_t limbo_nodes() const { return domain_->limbo_nodes(); }
 
   /// Supervisor recovery and blast-radius metrics: one shared domain,
   /// so one call covers every shard (no-op / all-zero under the
   /// arena). See src/faults/faults.hpp.
-  std::size_t reap_crashed() {
-    if constexpr (Reclaim::kReclaims)
-      return domain_->reap_crashed();
-    else
-      return 0;
-  }
-  faults::BlastStats blast_stats() const {
-    if constexpr (Reclaim::kReclaims)
-      return domain_->blast_stats();
-    else
-      return {};
-  }
+  std::size_t reap_crashed() { return domain_->reap_crashed(); }
+  faults::BlastStats blast_stats() const { return domain_->blast_stats(); }
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
 

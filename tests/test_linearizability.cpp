@@ -518,6 +518,10 @@ std::vector<std::string_view> pragmatic_and_reclaim_ids() {
   // The unrolled fat-node engine under its arena form; its ebr/hp and
   // sharded forms arrive through the catalog grids below.
   ids.push_back("unrolled_k8");
+  // The ablation-only cells: the sole instantiations of Back::kImprecise
+  // and Backoff::kExponential.
+  ids.push_back("doubly_cursor_noprec");
+  ids.push_back("singly_cursor_backoff");
   const auto& combos = harness::reclaim_variant_ids();
   ids.insert(ids.end(), combos.begin(), combos.end());
   // The sharded grid (every combo behind >= 2 hash shards): the

@@ -136,8 +136,7 @@ int main(int argc, char** argv) {
 
   std::ofstream csv("bench_faults.csv");
   if (csv)
-    // leaked_slabs appended LAST: every existing awk gate addresses
-    // columns by fixed index.
+    // The CI fault-smoke gate reads these columns by header name.
     csv << "id,base,reclaim,shards,reps,kops_mean,kops_sd,recovery_ms_mean,"
            "recovery_ms_sd,inj_guard_held,inj_retire_skipped,inj_depart,"
            "inj_midop,leaked,reaps,fp_peak,twin_fp_peak,limbo_peak,"

@@ -5,7 +5,7 @@
 // per tick. The question the fixed-duration benches cannot answer:
 // does memory stay bounded when threads come and go for as long as the
 // service runs? Arena rows are deliberately absent -- the paper's
-// scheme grows without bound by design (bench_reclaim shows that);
+// scheme grows without bound by design (bench_grid's footprint column shows that);
 // this bench is about the reclaimers surviving membership churn.
 //
 //   bench_soak [--threads-schedule ramp|steady|burst|waves|stragglers]

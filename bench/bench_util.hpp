@@ -49,7 +49,7 @@ inline void check_valid(const core::ISet& set) {
 
 /// Carve a scan fraction out of a point mix's contains share:
 /// {25,25,50} with scan_pct 20 becomes 25/25/30/20. The shared
-/// --scan-frac semantics of bench_scan and bench_soak.
+/// --scan-frac semantics of bench_grid and bench_soak.
 inline workload::OpMix with_scans(workload::OpMix mix, int scan_pct) {
   PRAGMALIST_CHECK(scan_pct >= 0 && scan_pct <= mix.con_pct,
                    "--scan-frac must be in [0, contains share]");
@@ -69,9 +69,10 @@ inline workload::ScanWidths scan_widths(const harness::Options& opt,
 /// The shared --no-latency flag: per-op recording defaults on (this is
 /// an observability-first harness) and is force-off when the layer is
 /// compiled out. Pass --no-latency for pre-PR-6-comparable throughput
-/// numbers (no clock reads in the op loop).
+/// numbers (no clock reads in the op loop). The flag is read first so
+/// it is never reported unread when the layer is compiled out.
 inline bool latency_enabled(const harness::Options& opt) {
-  return harness::kLatencyCompiled && !opt.get_bool("no-latency");
+  return !opt.get_bool("no-latency") && harness::kLatencyCompiled;
 }
 
 /// The shared --variants selection: paper row letters (a,c,e), full
@@ -123,9 +124,8 @@ struct GridCell {
 };
 
 /// Row-major expansion (variant -> reclaimer -> shards -> suffix) of
-/// the grid every reclaim-aware bench sweeps; shard counts < 1 are
-/// skipped. The one copy of the loop nest that used to be duplicated
-/// across bench_reclaim/bench_scan/bench_latency/bench_faults.
+/// the grid bench_grid and bench_faults sweep; shard counts < 1 are
+/// skipped.
 inline std::vector<GridCell> expand_grid(
     const std::vector<std::string>& variants,
     const std::vector<std::string>& reclaimers,
@@ -140,20 +140,6 @@ inline std::vector<GridCell> expand_grid(
           cells.push_back({grid_id(v, r, n, s), v, r, n, s});
       }
   return cells;
-}
-
-/// Emit the per-op-class latency CSV twin (best effort), mirroring
-/// emit_csv.
-inline void emit_latency_csv(const std::string& filename,
-                             const std::vector<harness::LatencyRow>& rows) {
-  if (rows.empty()) return;
-  std::ofstream out(filename);
-  if (!out) {
-    std::cerr << "(could not write " << filename << ")\n";
-    return;
-  }
-  harness::write_latency_csv(out, rows);
-  std::cout << "latency csv: " << filename << "\n";
 }
 
 }  // namespace pragmalist::bench

@@ -1,8 +1,8 @@
 // Michael's lock-free list with hazard-pointer reclamation: nodes are
 // retired at unlink time and physically freed during the run, unlike
 // the paper variants' end-of-run arena. This is the price the paper's
-// §2 says the mild improvements would tolerate; bench_reclaim measures
-// it. The slot/retire/scan machinery lives in reclaim::Hp, shared with
+// §2 says the mild improvements would tolerate; bench_grid measures
+// it (`--ids hp_michael`). The slot/retire/scan machinery lives in reclaim::Hp, shared with
 // the `<variant>/hp` catalog combinations.
 //
 // Protocol (Michael, PODC'02/TPDS'04): three hazard pointers per

@@ -30,7 +30,7 @@ namespace pragmalist::core {
 /// counts lost anchors -- a traversal pass abandoned and resumed
 /// (plain search sweep-CAS losses, HP anchor revalidation failures).
 /// The starvation tier asserts restarts stays proportional to ops --
-/// bounded retries -- and bench_latency prints both per cell.
+/// bounded retries -- and bench_grid prints both per cell.
 struct OpCounters {
   long adds = 0;
   long rems = 0;
@@ -205,7 +205,7 @@ class ISet {
 
   /// Operations routed to each shard (attempts, all op kinds) --
   /// quiescent-only, like validate(). Empty when unsharded; the
-  /// shard-load reports in bench_reclaim/bench_soak use it to show how
+  /// shard-load reports in bench_grid/bench_soak use it to show how
   /// a skewed key stream loads the partition.
   virtual std::vector<long> shard_ops() const { return {}; }
 

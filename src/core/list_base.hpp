@@ -404,7 +404,7 @@ Node* tighter(Node* head, Node* cursor, Node* hint) {
 ///   * EBR    -- plain_scan inside ONE epoch pin covering the whole
 ///     scan (the caller's guard): nothing retired after the pin can be
 ///     freed until the scan unpins. Long scans therefore hold the
-///     reclamation horizon -- the cost bench_scan prices against HP.
+///     reclamation horizon -- the cost bench_grid --scan-frac prices against HP.
 ///   * HP     -- hazard_scan: the anchored-validation walk from
 ///     anchored_walk(), generalized to emit along the way. Per-step
 ///     publish + anchor revalidation, restart from the head on a lost

@@ -47,7 +47,7 @@ const std::vector<std::string_view>& figure_variant_ids();
 const std::vector<std::string_view>& all_variant_ids();
 
 /// The `<variant>/<reclaimer>` grid: every paper variant under ebr and
-/// hp reclamation (the stress tier and bench_reclaim iterate this).
+/// hp reclamation (the stress tier and bench_soak iterate this).
 const std::vector<std::string_view>& reclaim_variant_ids();
 
 /// The sharded showcase grid: every `<variant>/<reclaimer>` id behind

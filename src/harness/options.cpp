@@ -37,9 +37,20 @@ Options Options::parse(int argc, char** argv) {
 }
 
 const Options::Flag* Options::lookup(const std::string& name) const {
+  const Flag* found = nullptr;
   for (const auto& flag : flags_)
-    if (flag.name == name) return &flag;
-  return nullptr;
+    if (flag.name == name) {
+      flag.read = true;
+      if (found == nullptr) found = &flag;
+    }
+  return found;
+}
+
+std::vector<std::string> Options::unread() const {
+  std::vector<std::string> names;
+  for (const auto& flag : flags_)
+    if (!flag.read) names.push_back(flag.name);
+  return names;
 }
 
 int Options::get_int(const std::string& name, int def) const {

@@ -1,6 +1,8 @@
 // Tiny CLI parser for the bench binaries. Flags are `--name value`,
-// `--name=value`, or bare `--name` (boolean). Unknown flags warn but do
-// not abort, so every binary accepts the shared flag vocabulary.
+// `--name=value`, or bare `--name` (boolean). Parsing accepts any flag
+// and every getter marks the flag it looks up as read; unread() lists
+// the rest, so a binary can reject a mistyped flag (bench_grid aborts
+// on one) instead of silently running with its default.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +59,12 @@ class Options {
   /// ("0.5s" = 500); junk or negative values warn and return `def_ms`.
   long get_duration_ms(const std::string& name, long def_ms) const;
 
+  /// Names of the flags given on the command line that no getter has
+  /// looked up yet, in command-line order. Call it after the last get_*:
+  /// whatever it returns is a flag this binary does not know. The
+  /// getters record lookups, so read an Options from one thread only.
+  std::vector<std::string> unread() const;
+
   /// Program name (argv[0]).
   const std::string& program() const { return program_; }
 
@@ -65,6 +73,7 @@ class Options {
     std::string name;
     std::string value;  // empty for bare flags
     bool has_value = false;
+    mutable bool read = false;  // set by lookup()
   };
 
   const Flag* lookup(const std::string& name) const;

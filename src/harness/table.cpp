@@ -79,23 +79,6 @@ void print_latency_table(std::ostream& os, const std::string& title,
   }
 }
 
-void write_latency_csv(std::ostream& os, const std::vector<LatencyRow>& rows) {
-  os << "id,class,count,p50_ns,p90_ns,p99_ns,p999_ns,max_ns,kops_per_sec,"
-        "hint_hits,restarts\n";
-  for (const auto& row : rows) {
-    for (int c = 0; c < kNumOpClasses; ++c) {
-      const auto cls = static_cast<OpClass>(c);
-      const LatHistogram& h = row.profile.of(cls);
-      if (h.count() == 0) continue;
-      os << row.label << ',' << op_class_name(cls) << ',' << h.count() << ','
-         << h.percentile(0.50) << ',' << h.percentile(0.90) << ','
-         << h.percentile(0.99) << ',' << h.percentile(0.999) << ','
-         << h.max() << ',' << row.kops << ',' << row.hint_hits << ','
-         << row.restarts << "\n";
-    }
-  }
-}
-
 std::string latency_summary_line(const LatencyProfile& profile) {
   const LatHistogram all = profile.merged();
   if (all.count() == 0) return {};

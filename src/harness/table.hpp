@@ -25,10 +25,9 @@ void print_paper_table(std::ostream& os, const std::string& title,
 void write_csv(std::ostream& os, const std::vector<TableRow>& rows);
 
 /// One bench row's latency profile, rendered as one line per non-empty
-/// op class by print_latency_table / write_latency_csv. The run-level
-/// fields (throughput, read-path progress counters from
-/// OpCounters::hint_hits/restarts) are repeated on every class line of
-/// the row -- CSV consumers pick them off whichever class they filter.
+/// op class by print_latency_table. The run-level fields (throughput,
+/// read-path progress counters from OpCounters::hint_hits/restarts) are
+/// repeated on every class line of the row.
 struct LatencyRow {
   std::string label;
   LatencyProfile profile;
@@ -42,14 +41,6 @@ struct LatencyRow {
 /// Classes with zero samples are skipped.
 void print_latency_table(std::ostream& os, const std::string& title,
                          const std::vector<LatencyRow>& rows);
-
-/// Machine twin, nanosecond integers:
-/// id,class,count,p50_ns,p90_ns,p99_ns,p999_ns,max_ns,kops_per_sec,
-/// hint_hits,restarts. The CI latency smoke parses columns up to
-/// max_ns and asserts p50 <= p99 <= p999 <= max per row; the
-/// contains-heavy gate compares kops_per_sec across hinted/nohint
-/// twins. New columns append after restarts to keep both awks valid.
-void write_latency_csv(std::ostream& os, const std::vector<LatencyRow>& rows);
 
 /// "p50=12.3us p99=45.6us p999=78.9us max=123.4us" over the merged op
 /// classes -- the compact per-run summary the bench grids append to a

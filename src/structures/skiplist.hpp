@@ -1,7 +1,7 @@
 // Lock-free skip list over the same marked-pointer machinery — the
 // downstream structure the paper motivates (its flat list is the
-// building block; bench_structures shows where O(n) search loses to
-// O(log n)). Bottom level (0) is the linearization point and holds
+// building block; bench_grid --ids doubly_cursor,skiplist shows where
+// O(n) search loses to O(log n)). Bottom level (0) is the linearization point and holds
 // every node; upper levels are a probabilistic index.
 //
 // Two flavors mirror the list ablation:

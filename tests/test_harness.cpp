@@ -121,6 +121,23 @@ TEST(Options, DurationRejectsJunkAndNegatives) {
   EXPECT_EQ(opt.get_duration_ms("d", 7), 7);
 }
 
+TEST(Options, UnreadNamesEveryFlagNoGetterLookedUp) {
+  // "--twin" is the typo of "--twins": the binary reads --twins, gets
+  // its default, and unread() is what catches the mistake.
+  const auto opt = parse({"--twin", "nohint", "--c", "5", "--bogus",
+                          "--c=6", "--no-pin"});
+  EXPECT_EQ(opt.unread(),
+            (std::vector<std::string>{"twin", "c", "bogus", "c", "no-pin"}));
+  EXPECT_TRUE(opt.get_string_list("twins", {}).empty());
+  EXPECT_EQ(opt.get_long("c", 0), 5);
+  EXPECT_TRUE(opt.get_bool("no-pin"));
+  // Every getter marks what it looked up, a repeated flag included;
+  // looking up an absent flag marks nothing.
+  EXPECT_EQ(opt.unread(), (std::vector<std::string>{"twin", "bogus"}));
+  EXPECT_EQ(opt.get_string("bogus", "x"), "x");
+  EXPECT_EQ(opt.unread(), (std::vector<std::string>{"twin"}));
+}
+
 TEST(Catalog, PaperVariantsAreTheSixRows) {
   const auto& ids = harness::paper_variant_ids();
   ASSERT_EQ(ids.size(), 6u);

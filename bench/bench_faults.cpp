@@ -54,9 +54,7 @@ double recovery_ms(const service::SoakResult& r) {
   const double last = r.last_fault_ms();
   if (last < 0.0) return -1.0;
   for (const auto& s : r.series)
-    if (s.t_ms >= last && s.crashed_slots == 0 && s.parked_limbo == 0 &&
-        s.leaked_cells == 0)
-      return s.t_ms - last;
+    if (s.t_ms >= last && s.blast.clean()) return s.t_ms - last;
   return -1.0;
 }
 

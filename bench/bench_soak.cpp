@@ -180,9 +180,9 @@ int main(int argc, char** argv) {
             << s.dur_ms << "," << s.threads << "," << s.ops << ","
             << s.kops_per_sec() << "," << s.footprint << "," << s.limbo
             << "," << s.p50_us << "," << s.p99_us << "," << s.p999_us << ","
-            << s.max_us << "," << s.leaked << "," << s.crashed_slots << ","
-            << s.leaked_cells << "," << s.parked_limbo << ","
-            << s.horizon_lag << "\n";
+            << s.max_us << "," << s.blast.leaked_nodes << ","
+            << s.blast.crashed_slots << "," << s.blast.leaked_cells << ","
+            << s.blast.parked_limbo << "," << s.blast.horizon_lag << "\n";
   }
   if (!lat_rows.empty()) {
     std::cout << "\n";

@@ -10,6 +10,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/faults/faults.hpp"
@@ -169,6 +171,17 @@ class ISetHandle {
   virtual void abandon(faults::FaultKind, long /*key*/) {}
 };
 
+/// Whether a concrete handle has the op-level fault path above
+/// (`abandon(kind, key)`): the engines and the sharded set do; the
+/// locked baselines, the Michael list and the skiplists do not, and
+/// keep ISetHandle::abandon's no-op.
+template <typename T, typename = void>
+struct HasAbandon : std::false_type {};
+template <typename T>
+struct HasAbandon<T, std::void_t<decltype(std::declval<T&>().abandon(
+                         faults::FaultKind::kMidOpAbandon, 0L))>>
+    : std::true_type {};
+
 /// The shared structure. make_handle() may be called concurrently from
 /// worker threads; validate()/size()/snapshot() are quiescent-only
 /// (call after all workers joined).
@@ -188,43 +201,49 @@ class ISet {
   /// Live keys in ascending order.
   virtual std::vector<long> snapshot() const = 0;
 
-  /// Nodes currently allocated and not yet freed (0 when the structure
-  /// does not track it). Under the arena this grows with every
-  /// successful insert; under a reclaiming policy (src/reclaim/) the
+  // --- stats -------------------------------------------------------
+  //
+  // Read off the structure's reclaim domain (src/reclaim/) by the
+  // catalog adapter. The rows without one -- coarse_lock, lazy_lock,
+  // skiplist and skiplist_draconic -- answer 0 / all-zero for the four
+  // reclaim stats, and the arena rows (the bare paper ids and
+  // unrolled_k8) for all but allocated_nodes. Every unsharded row
+  // answers 1 / empty for the three shard stats.
+
+  /// Nodes currently allocated and not yet freed. Under the arena this
+  /// grows with every successful insert; under a reclaiming policy the
   /// churn tests assert it stays bounded.
-  virtual std::size_t allocated_nodes() const { return 0; }
+  virtual std::size_t allocated_nodes() const = 0;
 
   /// Nodes retired but not yet freed -- the reclaimer's limbo depth (0
-  /// when the structure does not reclaim). Safe to sample while
-  /// workers run; the soak harness records it as a time series and the
-  /// soak tests assert it stays bounded.
-  virtual std::size_t limbo_nodes() const { return 0; }
+  /// under the arena). Safe to sample while workers run; the soak
+  /// harness records it as a time series and the soak tests assert it
+  /// stays bounded.
+  virtual std::size_t limbo_nodes() const = 0;
 
-  /// Hash shards behind this set (1 for every unsharded structure).
-  virtual int shard_count() const { return 1; }
+  /// Hash shards behind this set.
+  virtual int shard_count() const = 0;
 
   /// Operations routed to each shard (attempts, all op kinds) --
-  /// quiescent-only, like validate(). Empty when unsharded; the
-  /// shard-load reports in bench_grid/bench_soak use it to show how
-  /// a skewed key stream loads the partition.
-  virtual std::vector<long> shard_ops() const { return {}; }
+  /// quiescent-only, like validate(). The shard-load reports in
+  /// bench_grid/bench_soak use it to show how a skewed key stream
+  /// loads the partition.
+  virtual std::vector<long> shard_ops() const = 0;
 
-  /// Live keys per shard (quiescent-only; empty when unsharded).
-  virtual std::vector<std::size_t> shard_sizes() const { return {}; }
+  /// Live keys per shard (quiescent-only).
+  virtual std::vector<std::size_t> shard_sizes() const = 0;
 
   /// Supervisor recovery after worker crashes: release every lease
   /// abandoned via ISetHandle::abandon -- unpin stalled epochs, clear
   /// leaked hazard cells, hand parked limbo to the survivors. Returns
-  /// the number of leases reaped (0 when the structure has no crashed
-  /// leases, or no reclaim layer at all). Safe to call while workers
-  /// run; the soak driver calls it a configurable delay after each
-  /// injected fault.
-  virtual std::size_t reap_crashed() { return 0; }
+  /// the number of leases reaped. Safe to call while workers run; the
+  /// soak driver calls it a configurable delay after each injected
+  /// fault.
+  virtual std::size_t reap_crashed() = 0;
 
-  /// Blast-radius counters for the faults injected so far (all zero
-  /// for structures without a reclaim layer). Safe to sample while
-  /// workers run; the soak driver records one per tick.
-  virtual faults::BlastStats blast_stats() const { return {}; }
+  /// Blast-radius counters for the faults injected so far. Safe to
+  /// sample while workers run; the soak driver records one per tick.
+  virtual faults::BlastStats blast_stats() const = 0;
 
   virtual std::string_view name() const = 0;
 };

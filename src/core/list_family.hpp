@@ -267,21 +267,11 @@ class ListFamily {
   std::size_t size() const { return quiescent::size(head_); }
   std::vector<long> snapshot() const { return quiescent::snapshot(head_); }
 
-  /// Published-and-not-yet-freed node count; the churn tests bound it
-  /// under the reclaiming policies and watch it grow under the arena.
-  /// Counts the whole *domain* -- all shards, when the domain is
-  /// shared -- which is exactly what the footprint bounds want.
-  std::size_t allocated_nodes() const { return domain_->live_nodes(); }
-
-  /// Retired-and-not-yet-freed count; the soak harness samples it as
-  /// the limbo-depth series.
-  std::size_t limbo_nodes() const { return domain_->limbo_nodes(); }
-
-  /// Supervisor recovery and blast-radius metrics, forwarded to the
-  /// reclamation domain (no-op / all-zero under the arena). See
-  /// src/faults/faults.hpp.
-  std::size_t reap_crashed() { return domain_->reap_crashed(); }
-  faults::BlastStats blast_stats() const { return domain_->blast_stats(); }
+  /// The reclamation domain. The catalog adapter reads the footprint
+  /// (live_nodes), limbo, reap_crashed() and blast-radius stats off it;
+  /// they count the whole domain -- all shards, when it is shared --
+  /// which is exactly what the footprint bounds want.
+  Reclaim& domain() const { return *domain_; }
 
   /// Test-only: break the order invariant by swapping the keys of the
   /// first two physically linked nodes (requires >= 2 nodes).

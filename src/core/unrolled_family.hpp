@@ -334,9 +334,9 @@ class UnrolledFamilyList {
     return keys;
   }
 
-  /// Published-and-not-yet-freed node count (fat nodes, not keys); the
-  /// churn tests bound it under the reclaiming policies.
-  std::size_t allocated_nodes() const { return domain_->live_nodes(); }
+  /// The reclamation domain; the catalog adapter reads the footprint
+  /// (fat nodes, not keys), limbo and blast-radius stats off it.
+  Reclaim& domain() const { return *domain_; }
 
   /// Quiescent-only: unmarked fat nodes currently linked (head
   /// sentinel excluded). The split/merge unit tests assert node-count
@@ -350,10 +350,6 @@ class UnrolledFamilyList {
     }
     return nodes;
   }
-
-  std::size_t limbo_nodes() const { return domain_->limbo_nodes(); }
-  std::size_t reap_crashed() { return domain_->reap_crashed(); }
-  faults::BlastStats blast_stats() const { return domain_->blast_stats(); }
 
   /// Test-only: break the sorted-cells invariant of the first live
   /// node (requires a node with >= 2 keys).

@@ -185,6 +185,13 @@ struct BlastStats {
   // leaked slot holds its whole 16 KiB slab out of release_empty_slabs()
   // until domain teardown -- the slab-granular cost of a node leak.
   std::size_t leaked_slabs = 0;
+
+  /// A recovered reclaim surface: no crashed lease, no dead hazard
+  /// cell, no parked limbo. Attributed leaks stay until teardown by
+  /// design, so they do not count against it.
+  bool clean() const {
+    return crashed_slots == 0 && leaked_cells == 0 && parked_limbo == 0;
+  }
 };
 
 }  // namespace pragmalist::faults

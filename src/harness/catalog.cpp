@@ -6,9 +6,8 @@
 #include <utility>
 
 #include "src/alloc/slab.hpp"
-#include "src/baselines/ebr_michael.hpp"
-#include "src/baselines/hp_michael.hpp"
 #include "src/baselines/locked_lists.hpp"
+#include "src/baselines/michael_list.hpp"
 #include "src/common/debug.hpp"
 #include "src/core/unrolled_family.hpp"
 #include "src/core/variants.hpp"
@@ -18,18 +17,14 @@
 namespace pragmalist::harness {
 namespace {
 
+// Structures backed by a reclaim domain (the engines, the Michael
+// list, the sharded set) expose it as domain(); the adapter reads the
+// footprint, limbo and blast-radius stats off it. The locked baselines
+// and the skiplists have none and answer zeros.
 template <typename T, typename = void>
-struct HasAllocatedNodes : std::false_type {};
+struct HasDomain : std::false_type {};
 template <typename T>
-struct HasAllocatedNodes<
-    T, std::void_t<decltype(std::declval<const T&>().allocated_nodes())>>
-    : std::true_type {};
-
-template <typename T, typename = void>
-struct HasLimboNodes : std::false_type {};
-template <typename T>
-struct HasLimboNodes<
-    T, std::void_t<decltype(std::declval<const T&>().limbo_nodes())>>
+struct HasDomain<T, std::void_t<decltype(std::declval<const T&>().domain())>>
     : std::true_type {};
 
 template <typename T, typename = void>
@@ -37,30 +32,6 @@ struct HasShardCount : std::false_type {};
 template <typename T>
 struct HasShardCount<
     T, std::void_t<decltype(std::declval<const T&>().shard_count())>>
-    : std::true_type {};
-
-// Fault-injection surface: the engines and the sharded set have it;
-// baselines/skiplist do not (ISetHandle::abandon's default no-op makes
-// them fault-oblivious -- a "crash" is just a clean departure there).
-template <typename T, typename = void>
-struct HasAbandon : std::false_type {};
-template <typename T>
-struct HasAbandon<T, std::void_t<decltype(std::declval<T&>().abandon(
-                         faults::FaultKind::kMidOpAbandon, 0L))>>
-    : std::true_type {};
-
-template <typename T, typename = void>
-struct HasReapCrashed : std::false_type {};
-template <typename T>
-struct HasReapCrashed<
-    T, std::void_t<decltype(std::declval<T&>().reap_crashed())>>
-    : std::true_type {};
-
-template <typename T, typename = void>
-struct HasBlastStats : std::false_type {};
-template <typename T>
-struct HasBlastStats<
-    T, std::void_t<decltype(std::declval<const T&>().blast_stats())>>
     : std::true_type {};
 
 /// Adapts any concrete structure with the
@@ -84,7 +55,7 @@ class SetAdapter final : public core::ISet {
     }
     core::OpCounters counters() const override { return h_.counters(); }
     void abandon(faults::FaultKind k, long key) override {
-      if constexpr (HasAbandon<typename Structure::Handle>::value)
+      if constexpr (core::HasAbandon<typename Structure::Handle>::value)
         h_.abandon(k, key);
     }
 
@@ -106,16 +77,28 @@ class SetAdapter final : public core::ISet {
   std::size_t size() const override { return inner_.size(); }
   std::vector<long> snapshot() const override { return inner_.snapshot(); }
   std::size_t allocated_nodes() const override {
-    if constexpr (HasAllocatedNodes<Structure>::value)
-      return inner_.allocated_nodes();
+    if constexpr (HasDomain<Structure>::value)
+      return inner_.domain().live_nodes();
     else
       return 0;
   }
   std::size_t limbo_nodes() const override {
-    if constexpr (HasLimboNodes<Structure>::value)
-      return inner_.limbo_nodes();
+    if constexpr (HasDomain<Structure>::value)
+      return inner_.domain().limbo_nodes();
     else
       return 0;
+  }
+  std::size_t reap_crashed() override {
+    if constexpr (HasDomain<Structure>::value)
+      return inner_.domain().reap_crashed();
+    else
+      return 0;
+  }
+  faults::BlastStats blast_stats() const override {
+    if constexpr (HasDomain<Structure>::value)
+      return inner_.domain().blast_stats();
+    else
+      return {};
   }
   int shard_count() const override {
     if constexpr (HasShardCount<Structure>::value)
@@ -132,18 +115,6 @@ class SetAdapter final : public core::ISet {
   std::vector<std::size_t> shard_sizes() const override {
     if constexpr (HasShardCount<Structure>::value)
       return inner_.shard_sizes();
-    else
-      return {};
-  }
-  std::size_t reap_crashed() override {
-    if constexpr (HasReapCrashed<Structure>::value)
-      return inner_.reap_crashed();
-    else
-      return 0;
-  }
-  faults::BlastStats blast_stats() const override {
-    if constexpr (HasBlastStats<Structure>::value)
-      return inner_.blast_stats();
     else
       return {};
   }
@@ -188,6 +159,8 @@ template <typename Engine>
 std::unique_ptr<core::ISet> make_sharded_adapter(std::string id, int shards,
                                                  alloc::Mode mode,
                                                  bool hints) {
+  static_assert(HasDomain<shard::ShardedSet<Engine>>::value,
+                "the sharded set must expose its shared domain()");
   // ShardedSet clamps the mode to heap itself when the engine is not
   // pool-allocating, so passing it unconditionally is safe. The hint
   // switch is NOT clamped: a base with no hint index (the Michael
@@ -211,9 +184,12 @@ struct Entry {
                                               alloc::Mode mode, bool hints);
 };
 
-/// A row whose id is also a `/shN` base.
+/// A row whose id is also a `/shN` base. Sharding runs every shard
+/// against one shared reclaim domain, so only a domain-backed
+/// structure qualifies.
 template <typename S>
 constexpr Entry shardable(std::string_view id, std::string_view letter = "-") {
+  static_assert(HasDomain<S>::value, "a shardable row needs a domain()");
   return {id, letter, &make_adapter<S>, &make_sharded_adapter<S>};
 }
 

@@ -115,10 +115,11 @@ int main(int argc, char** argv) {
     std::printf("pragmalistd: validate: ok (size=%zu)\n", set.size());
   else
     std::printf("pragmalistd: validate: FAILED: %s\n", why.c_str());
-  // After stop() every lease departed or was reaped: a crashed slot or
-  // quarantined cell still standing would leak for the process
-  // lifetime, so it fails the shutdown the same as a broken list.
-  const bool clean = blast.crashed_slots == 0 && blast.leaked_cells == 0;
+  // After stop() every lease departed or was reaped: a crashed slot,
+  // quarantined cell or parked limbo still standing would leak for the
+  // process lifetime, so it fails the shutdown the same as a broken
+  // list.
+  const bool clean = blast.clean();
   if (!clean)
     std::printf("pragmalistd: reclaim state not quiescent at exit\n");
   std::printf("pragmalistd: %s\n",

@@ -88,8 +88,9 @@ class Arena {
   std::size_t live_nodes() const { return registry_.count(); }
 
   /// Nothing to reap: nothing is ever retired into limbo, and a
-  /// crashed handle holds no state (see Handle::abandon). Engines
-  /// forward these unconditionally, whatever their policy.
+  /// crashed handle holds no state (see Handle::abandon). The catalog
+  /// adapter reads these off every engine's domain(), whatever its
+  /// policy.
   std::size_t limbo_nodes() const { return 0; }
   std::size_t reap_crashed() { return 0; }
   faults::BlastStats blast_stats() const { return {}; }

@@ -1,5 +1,5 @@
-// Hazard-pointer reclamation (Michael, PODC'02/TPDS'04), extracted
-// from the HP Michael baseline so any list can use it. Each handle
+// Hazard-pointer reclamation (Michael, PODC'02/TPDS'04), one domain
+// shared by the paper engines and the Michael baseline. Each handle
 // owns kSlots hazard cells; a reader publishes the node it is about to
 // dereference, revalidates reachability against a shared cell, and may
 // then use the node until the cell is overwritten. scan() frees every

@@ -57,9 +57,11 @@
 // and the reclaiming policies add Handle::leak(Node*) (a
 // retire-skipped node the domain attributes). Every domain has
 // reap_crashed() / blast_stats() for supervisor recovery and the
-// blast-radius metrics, so engines forward them without a policy
-// branch. Arena's abandon is a no-op and its reap/blast answers are
-// 0 / all-zero -- it is fault-oblivious by construction.
+// blast-radius metrics. Engines expose their domain through one
+// `Reclaim& domain() const` accessor, and the catalog adapter reads
+// live_nodes / limbo_nodes / reap_crashed / blast_stats off it with
+// no policy branch. Arena's abandon is a no-op and its reap/blast
+// answers are 0 / all-zero -- it is fault-oblivious by construction.
 //
 // Each policy header states its progress guarantee, worst-case memory
 // bound, and the traversal capabilities it demands of the engine.

@@ -202,12 +202,7 @@ SoakResult run_soak(core::ISet& set, const SoakConfig& cfg) {
       s.ops = window_ops.exchange(0, std::memory_order_relaxed);
       s.footprint = set.allocated_nodes();
       s.limbo = set.limbo_nodes();
-      const faults::BlastStats bs = set.blast_stats();
-      s.leaked = bs.leaked_nodes;
-      s.crashed_slots = bs.crashed_slots;
-      s.leaked_cells = bs.leaked_cells;
-      s.parked_limbo = bs.parked_limbo;
-      s.horizon_lag = bs.horizon_lag;
+      s.blast = set.blast_stats();
       // Supervisor pass: reap every crashed lease whose fault fired at
       // least reap_delay_ticks ago (the detection latency a real
       // supervisor would have). reap_crashed releases *all* crashed

@@ -85,13 +85,9 @@ struct SoakSample {
   double p99_us = 0.0;
   double p999_us = 0.0;
   double max_us = 0.0;
-  // Blast-radius columns (ISet::blast_stats at sample time, see
-  // faults::BlastStats) -- all zero on a fault-free run.
-  std::size_t leaked = 0;         // attributed retire-skipped nodes
-  std::size_t crashed_slots = 0;  // abandoned, not-yet-reaped leases
-  std::size_t leaked_cells = 0;   // hazard cells published by the dead
-  std::size_t parked_limbo = 0;   // limbo parked on crashed leases
-  std::uint64_t horizon_lag = 0;  // EBR epoch minus its horizon
+  // Blast radius at sample time (ISet::blast_stats) -- all zero on a
+  // fault-free run.
+  faults::BlastStats blast;
 
   /// Window throughput normalized by the measured duration.
   double kops_per_sec() const {

@@ -15,9 +15,12 @@
 //     same 256-slot domain a single list does;
 //   * retire ordering between shards is free: a thread's epoch pin or
 //     hazard cells cover whichever shard it is currently operating on;
-//   * domain-level metrics (allocated_nodes, limbo_nodes) already
-//     aggregate across shards, so the footprint/limbo bounds of the
-//     churn and soak tiers apply to the sharded set verbatim;
+//   * the set exposes that one domain (domain()), and the catalog
+//     adapter reads the footprint, limbo and blast-radius stats off it
+//     exactly as for a single list: they already aggregate across
+//     shards, so the footprint/limbo bounds of the churn and soak tiers
+//     apply to the sharded set verbatim, and one reap_crashed() covers
+//     every shard;
 //   * under HP, the persistent cursor cell is a per-thread resource
 //     shared by all shards; the engines' cursor_owner protocol
 //     (reclaim/hp.hpp) keeps exactly one shard's cursor protected --
@@ -49,16 +52,6 @@
 namespace pragmalist::shard {
 
 namespace detail {
-// Engines expose op-level fault injection (Handle::abandon(kind, key));
-// the Michael baselines do not -- for them an op-level "crash" degrades
-// to a clean no-op, matching ISetHandle's default.
-template <typename T, typename = void>
-struct HasOpAbandon : std::false_type {};
-template <typename T>
-struct HasOpAbandon<T, std::void_t<decltype(std::declval<T&>().abandon(
-                           faults::FaultKind::kMidOpAbandon, 0L))>>
-    : std::true_type {};
-
 // Engines that allocate nodes through the domain (construct/dispose)
 // advertise kPoolAllocates; only those may run the shared domain in
 // slab mode. Baselines that `new` their own nodes must clamp to heap,
@@ -125,7 +118,9 @@ class ShardedSet {
     /// because reclamation state is per thread, not per shard.
     void abandon(faults::FaultKind k, long key) {
       if (faults::is_op_fault(k)) {
-        if constexpr (detail::HasOpAbandon<typename Engine::Handle>::value)
+        // The Michael list has no op-level fault path: for it an
+        // op-level "crash" degrades to a clean no-op.
+        if constexpr (core::HasAbandon<typename Engine::Handle>::value)
           handles_[set_->shard_of(key)].abandon(k, key);
       } else {
         rh_->abandon(k);
@@ -298,16 +293,9 @@ class ShardedSet {
     return all;
   }
 
-  /// Domain-wide (the shared domain already aggregates every shard).
-  std::size_t allocated_nodes() const { return domain_->live_nodes(); }
-
-  std::size_t limbo_nodes() const { return domain_->limbo_nodes(); }
-
-  /// Supervisor recovery and blast-radius metrics: one shared domain,
-  /// so one call covers every shard (no-op / all-zero under the
-  /// arena). See src/faults/faults.hpp.
-  std::size_t reap_crashed() { return domain_->reap_crashed(); }
-  faults::BlastStats blast_stats() const { return domain_->blast_stats(); }
+  /// The one domain every shard shares: its footprint, limbo,
+  /// reap_crashed() and blast-radius stats already cover the whole set.
+  Reclaim& domain() const { return *domain_; }
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
 

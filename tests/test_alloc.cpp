@@ -205,7 +205,7 @@ void churn_and_check_ledger() {
     const auto st = domain->slab_stats();
     // Handles departed: caches drained, so pool-outstanding slots are
     // exactly the domain's live ledger (live + sentinels + limbo).
-    EXPECT_EQ(st.slot_acquires - st.slot_releases, list.allocated_nodes());
+    EXPECT_EQ(st.slot_acquires - st.slot_releases, domain->live_nodes());
   }
   // Engine gone; whatever limbo the domain still parks dies with it.
   domain.reset();

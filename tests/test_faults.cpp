@@ -472,8 +472,7 @@ void run_fault_soak(std::string_view id, std::uint64_t seed) {
   ASSERT_GE(last, 0.0) << id;
   bool recovered = false;
   for (const auto& s : r.series)
-    recovered = recovered || (s.t_ms >= last && s.crashed_slots == 0 &&
-                              s.parked_limbo == 0 && s.leaked_cells == 0);
+    recovered = recovered || (s.t_ms >= last && s.blast.clean());
   EXPECT_TRUE(recovered) << id;
 
   // Blast radius is bounded and fully recovered at the end: at most

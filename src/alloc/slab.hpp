@@ -2,9 +2,11 @@
 // one SlabPool: engines allocate nodes from cache-line-aligned slabs
 // through per-thread ThreadCaches (the fast path is an array pop with
 // no lock, no CAS), retire still flows through the policy's existing
-// retire/collect surface, and a *free* returns the slot to the owning
-// slab's lock-free free list -- whole slabs are released back to the
-// OS only when empty and quiescent.
+// retire/collect surface, and a *free* by a handle's collect pass goes
+// back into that handle's ThreadCache (an array push); only a cache
+// overflow, a drain or a domain-level free returns the slot to the
+// owning slab's lock-free free list -- whole slabs are released back
+// to the OS only when empty and quiescent.
 //
 // Why a pool per *domain* and not per list: the domain is the unit
 // that outlives every node it ever freed (handles lease from it,
@@ -131,6 +133,9 @@ class SlabPool {
     std::lock_guard<std::mutex> lk(mu_);
     std::size_t got = 0;
     for (Slab* s : slabs_) {
+      if (s->free_list.load(std::memory_order_relaxed) == nullptr &&
+          s->bump.load(std::memory_order_relaxed) >= kCapacity)
+        continue;  // nothing to take: skip the exchange's line write
       got += harvest(s, out + got, want - got);
       if (got == want) break;
     }

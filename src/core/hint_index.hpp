@@ -24,26 +24,38 @@
 // Lifecycle protocol (all slot accesses that matter are seq_cst; the
 // safety argument needs the single total order S):
 //
-//   publish(k, n)  -- caller guarantees n is covered by its guard and
+//   publish(n)     -- caller guarantees n is covered by its guard and
 //     was observed unmarked during the current op. Store the slot
 //     (node seq_cst), then RE-CHECK n's mark with a no-op RMW
 //     (MarkPtr::load_rmw): an RMW reads the latest value in n->next's
 //     modification order, so it cannot miss a concurrent mark the way
 //     a plain load can. If marked, self-clear the slot (CAS n -> null)
 //     while the guard still covers n.
-//   purge(n)       -- the retiring thread clears every slot holding n
-//     *before* retire(n)/leak(n). With publish-store, re-check RMW and
-//     purge all seq_cst, either publish <S purge (the purge's load
-//     sees n and clears it) or the re-check sees the mark (mark <S
+//   purge(n)       -- the retiring thread clears every slot that can
+//     hold n *before* retire(n)/leak(n). With publish-store, re-check
+//     RMW and purge all seq_cst, either publish <S purge (the purge's
+//     load sees n and clears it) or the re-check sees the mark (mark <S
 //     purge <S publish <S re-check would order the re-check after the
 //     mark) and the publisher self-clears. Both ways, no slot names n
 //     once its retirement can free it -- except transiently while some
-//     publisher's guard still pins n alive. Purge scans *every* slot:
-//     a shift growth moves n's bucket, so the slot n was published
-//     into is not recomputable from n's key.
+//     publisher's guard still pins n alive.
 //   best(k, valid) -- probe from k's bucket down to slot 0, validating
 //     each slot's candidate at most once, so lookup is wait-free:
 //     <= kSlots validations regardless of concurrent writers.
+//
+// Which slots "can hold n": publish places n by n->key alone, in slot
+// key >> p, where p is the shift the publisher read or installed. So
+// purge reads shift_ once (seq_cst, value q) and clears
+// slot_of(n->key, s) for every s from q down to 0 -- at most q + 1
+// distinct slots, never a scan of the array. Shift growth is the only
+// way n's bucket moves, and it cannot hide n from the purge:
+//   * q >= p: the purge visits slot_of(n->key, p), the slot n was
+//     placed in, and the publish-vs-purge argument above applies.
+//   * q <  p: shift_ only grows, so the purge's shift read precedes in
+//     S the store that raised shift_ to p, which the publisher read or
+//     made before its slot store. Then mark <S shift read <S
+//     publisher's shift access <S publish <S re-check, and the
+//     re-check RMW sees the mark: the publisher self-clears.
 //
 // Why a validated hint is then safe to dereference, per reclaimer, is
 // the engines' argument (docs/ARCHITECTURE.md "Read path"): the short
@@ -62,7 +74,7 @@ namespace pragmalist::core {
 template <typename Node>
 class HintIndex {
  public:
-  static constexpr int kSlotBits = 6;
+  static constexpr int kSlotBits = 10;
   static constexpr int kSlots = 1 << kSlotBits;
 
   explicit HintIndex(bool enabled = true) : enabled_(enabled) {}
@@ -74,13 +86,14 @@ class HintIndex {
   /// diff (same binary, same layout, no publish/lookup traffic).
   bool enabled() const { return enabled_; }
 
-  /// Publish (key, n) into key's bucket, first growing `shift` if key
-  /// lies past the range the buckets cover. Caller contract: n is
-  /// covered by the caller's reclamation guard for the whole call and
-  /// was observed unmarked during the current operation. See file
-  /// comment for the re-check/self-clear rule.
-  void publish(long key, Node* n) {
+  /// Publish n into the bucket of its (immutable) key, first growing
+  /// `shift` if the key lies past the range the buckets cover. Caller
+  /// contract: n is covered by the caller's reclamation guard for the
+  /// whole call and was observed unmarked during the current operation.
+  /// See file comment for the re-check/self-clear rule.
+  void publish(Node* n) {
     if (!enabled_ || n == nullptr) return;
+    const long key = n->key;
     Slot& s = slots_[slot_of(key, grow_shift(key))];
     s.key.store(key, std::memory_order_relaxed);
     s.node.store(n, std::memory_order_seq_cst);
@@ -98,11 +111,18 @@ class HintIndex {
 
   /// Clear every slot naming n. MUST run before every retire(n) /
   /// leak(n) of a node that may ever have been published (engines call
-  /// it on every retirement path). A full scan, not n's bucket: see the
-  /// file comment.
+  /// it on every retirement path). Visits n's bucket under the current
+  /// shift and under every smaller one -- the only slots a publish can
+  /// have placed n in (file comment) -- so it costs <= shift + 1 slots.
   void purge(Node* n) {
     if (n == nullptr) return;
-    for (Slot& s : slots_) {
+    const long key = n->key;
+    int last = -1;
+    for (int sh = shift_.load(std::memory_order_seq_cst); sh >= 0; --sh) {
+      const int i = slot_of(key, sh);
+      if (i == last) continue;  // slot_of is monotone in sh: repeats adjoin
+      last = i;
+      Slot& s = slots_[i];
       if (s.node.load(std::memory_order_seq_cst) != n) continue;
       Node* expected = n;
       s.node.compare_exchange_strong(expected, nullptr,
@@ -146,10 +166,10 @@ class HintIndex {
   }
 
  private:
-  // One slot per cache line: publishers of different key ranges land
-  // on different lines, and a purge's full scan is a predictable
-  // kSlots-line touch (4 KB per engine).
-  struct alignas(64) Slot {
+  // Compact 16 B slots, 16 KB per engine: a purge touches only its
+  // key's few buckets, so the array can be wide enough that a bucket
+  // holds a handful of live nodes.
+  struct Slot {
     std::atomic<long> key{0};
     std::atomic<Node*> node{nullptr};
   };
@@ -162,16 +182,17 @@ class HintIndex {
   /// Raise shift (never lower it) until key >> shift < kSlots; returns
   /// the shift to place key with. Bounded: every failed CAS means
   /// another publisher raised shift, which can happen at most
-  /// 63 - kSlotBits times.
+  /// 63 - kSlotBits times. Seq_cst, so the purge's shift read and this
+  /// access are ordered in S (file comment, case q < p).
   int grow_shift(long key) {
     int need = 0;
     if (key >= kSlots) {
       const int width = 64 - __builtin_clzl(static_cast<unsigned long>(key));
       need = width - kSlotBits;
     }
-    int cur = shift_.load(std::memory_order_relaxed);
+    int cur = shift_.load(std::memory_order_seq_cst);
     while (cur < need && !shift_.compare_exchange_strong(
-                             cur, need, std::memory_order_relaxed)) {
+                             cur, need, std::memory_order_seq_cst)) {
     }
     return std::max(cur, need);
   }

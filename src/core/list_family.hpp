@@ -360,7 +360,7 @@ class ListFamily {
     if (!hints_.enabled()) return;
     if (n == nullptr || n == head_) return;
     if ((++h.hint_tick_ & 7u) != 0) return;
-    hints_.publish(n->key, n);
+    hints_.publish(n);
   }
 
   Node* start_node(Handle& h, long key) {

@@ -493,7 +493,7 @@ class UnrolledFamilyList {
     if (!hints_.enabled()) return;
     if (n == nullptr || n == head_) return;
     if ((++h.hint_tick_ & 7u) != 0) return;
-    hints_.publish(n->key, n);
+    hints_.publish(n);
   }
 
   /// Routing walk toward `probe` with adjacency (prev->next == cur at

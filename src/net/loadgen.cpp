@@ -1,5 +1,8 @@
 #include "src/net/loadgen.hpp"
 
+#include <sys/prctl.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -94,6 +97,9 @@ class Engine {
   }
 
   void run() {
+    // Paced wake-ups should land on the intended instant, not up to the
+    // default 50 us timer slack after it.
+    if (period_ns_ != 0) prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
     epoll_event evs[256];
     bool draining_run = false;
     std::uint64_t drain_deadline = 0;
@@ -140,7 +146,13 @@ class Engine {
         }
       }
 
-      const int n = ep_.wait(evs, 256, 1);
+      // Closed loop wakes on replies, with a 1 ms tick for the stop,
+      // churn and drain checks. Paced mode also wakes at the next due
+      // send: a 1 ms tick would charge up to 1 ms of generator
+      // lateness to every sample.
+      const int n = period_ns_ != 0 && !draining_run
+                        ? ep_.wait_ns(evs, 256, pace_timeout_ns())
+                        : ep_.wait(evs, 256, 1);
       for (int i = 0; i < n; ++i) {
         auto* slot = static_cast<Slot*>(evs[i].data.ptr);
         handle_event(*slot, evs[i].events);
@@ -255,12 +267,32 @@ class Engine {
     if (established > peak_conns_) peak_conns_ = established;
   }
 
+  /// Paced mode: time until the earliest idle connection's next
+  /// intended send, capped at the 1 ms tick.
+  std::uint64_t pace_timeout_ns() const {
+    constexpr std::uint64_t kTickNs = 1'000'000;
+    const std::uint64_t now = now_ns();
+    std::uint64_t wait = kTickNs;
+    for (const auto& s : slots_) {
+      if (s.state != Slot::State::kActive || s.in_flight || s.draining)
+        continue;
+      const std::uint64_t due = intended_ns(s);
+      if (due <= now) return 0;
+      wait = std::min(wait, due - now);
+    }
+    return wait;
+  }
+
+  /// Paced schedule slot of the connection's next op.
+  std::uint64_t intended_ns(const Slot& s) const {
+    return s.t0_ns + static_cast<std::uint64_t>(s.ops_done) * period_ns_;
+  }
+
   void maybe_send(Slot& s, std::uint64_t now) {
     if (sh_->stop.load(std::memory_order_relaxed)) return;
     std::uint64_t intended = now;
     if (period_ns_ != 0) {
-      intended =
-          s.t0_ns + static_cast<std::uint64_t>(s.ops_done) * period_ns_;
+      intended = intended_ns(s);
       // Never shift the schedule: send the moment the intended slot
       // has passed, charge lateness to the sample.
       if (now < intended) return;

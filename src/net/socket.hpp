@@ -165,6 +165,22 @@ class Epoll {
     return n;
   }
 
+  /// wait() with a nanosecond timeout (epoll_pwait2), for callers that
+  /// must wake at a precise instant. A kernel without epoll_pwait2
+  /// (before 5.11) gets epoll_wait with the timeout rounded up to 1 ms.
+  int wait_ns(epoll_event* events, int max_events, std::uint64_t timeout_ns) {
+    const timespec ts{static_cast<time_t>(timeout_ns / 1'000'000'000ULL),
+                      static_cast<long>(timeout_ns % 1'000'000'000ULL)};
+    const int n =
+        ::epoll_pwait2(fd_.get(), events, max_events, &ts, nullptr);
+    if (n < 0 && errno == ENOSYS)
+      return wait(events, max_events,
+                  static_cast<int>((timeout_ns + 999'999) / 1'000'000));
+    if (n < 0 && errno == EINTR) return 0;
+    PRAGMALIST_CHECK(n >= 0, "epoll_pwait2 failed");
+    return n;
+  }
+
  private:
   void ctl(int op, int fd, std::uint32_t events, void* ptr) {
     epoll_event ev{};

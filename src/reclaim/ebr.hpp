@@ -438,8 +438,10 @@ class Ebr {
  private:
   friend class Handle;
 
+  /// Free a bag into the collecting handle's slot cache, where the
+  /// handle's next allocations reuse the slots without a refill.
   void free_bag(Bag& bag, Handle& h) {
-    for (Node* n : bag.nodes) pool_.destroy(n);
+    for (Node* n : bag.nodes) h.dispose(n);
     freed_.fetch_add(bag.nodes.size(), std::memory_order_relaxed);
     limbo_.fetch_sub(bag.nodes.size(), std::memory_order_relaxed);
     h.limbo_size_ -= bag.nodes.size();

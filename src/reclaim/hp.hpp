@@ -108,7 +108,7 @@ class Hp {
       // with our own cells still published, so a self-protected cursor
       // node correctly survives into the orphan stack rather than being
       // freed out from under a concurrent reader of the same node.
-      d_->scan(retired_);
+      d_->scan(retired_, cache_);
       d_->limbo_.fetch_sub(retired_.size(), std::memory_order_relaxed);
       for (Node* n : retired_) d_->push_orphan(n);
       retired_.clear();
@@ -154,7 +154,7 @@ class Hp {
 
     /// Scan now instead of waiting for the retire threshold (departing
     /// service workers and the slot-reuse tests force passes with it).
-    void collect() { d_->scan(retired_); }
+    void collect() { d_->scan(retired_, cache_); }
 
     /// Retired-not-yet-freed nodes parked on this handle.
     std::size_t limbo_size() const { return retired_.size(); }
@@ -314,11 +314,11 @@ class Hp {
  private:
   friend class Handle;
 
-  /// Free every retiree no hazard pointer currently protects. Adopts
-  /// the orphan stack first (retirees of departed handles), so one
-  /// surviving handle is enough to keep the whole domain's garbage
-  /// bounded under thread churn.
-  void scan(std::vector<Node*>& retired) {
+  /// Free every retiree no hazard pointer currently protects, into the
+  /// scanning handle's slot cache. Adopts the orphan stack first
+  /// (retirees of departed handles), so one surviving handle is enough
+  /// to keep the whole domain's garbage bounded under thread churn.
+  void scan(std::vector<Node*>& retired, alloc::ThreadCache<Node>& cache) {
     Node* o = orphans_.exchange(nullptr, std::memory_order_acq_rel);
     while (o != nullptr) {
       Node* next = o->reg_next;
@@ -340,7 +340,7 @@ class Hp {
       if (protected_nodes.count(n) != 0) {
         keep.push_back(n);
       } else {
-        pool_.destroy(n);
+        cache.destroy(n);
         ++freed;
       }
     }

@@ -1,6 +1,8 @@
 // HintIndex on its own, over a toy node type: the key-ordered bucket
-// layout, the downward probe and its validation bound, purge after a
-// shift growth, key clamping at both ends, and the off-switch. The
+// layout, the downward probe and its validation bound, purge after
+// shift growth, key clamping at both ends, and the off-switch. Slot
+// numbers are derived from Index::kSlotBits, so the cases hold for any
+// bucket count of at least 16. The
 // engines' use of the index is covered by every catalog suite; the
 // concurrent publish/purge/best race lives in test_hint_index_race.
 #include <gtest/gtest.h>
@@ -24,6 +26,9 @@ struct ToyNode {
 };
 
 using Index = HintIndex<ToyNode>;
+static_assert(Index::kSlots >= 16, "the cases below place keys in slot 15");
+
+constexpr int kTop = Index::kSlots - 1;  // the last slot
 
 /// best() with the engines' key/mark validation (or one that rejects
 /// every candidate), recording the slots it was asked about, in order.
@@ -44,10 +49,12 @@ Probe probe(const Index& idx, long key, bool accept = true) {
 
 TEST(HintIndex, LookupTakesTheNearestBucketBelowTheKey) {
   Index idx;
-  // 4095 fixes shift at 6: 64 buckets, 64 keys wide.
-  ToyNode top(4095), b1(100), b10(700), b15(1000);
-  for (ToyNode* n : {&top, &b1, &b10, &b15}) idx.publish(n->key, n);
-  EXPECT_EQ(idx.slot_node(63), &top);
+  // The largest key below kSlots << 6 fixes shift at 6: buckets 64
+  // keys wide.
+  ToyNode top((long{Index::kSlots} << 6) - 1);
+  ToyNode b1(100), b10(700), b15(1000);
+  for (ToyNode* n : {&top, &b1, &b10, &b15}) idx.publish(n);
+  EXPECT_EQ(idx.slot_node(kTop), &top);
   EXPECT_EQ(idx.slot_node(1), &b1);
   EXPECT_EQ(idx.slot_node(10), &b10);
   EXPECT_EQ(idx.slot_node(15), &b15);
@@ -73,7 +80,7 @@ TEST(HintIndex, LookupTakesTheNearestBucketBelowTheKey) {
   // Past the largest published key: clamps to the last bucket.
   p = probe(idx, 1L << 40);
   EXPECT_EQ(p.found, &top);
-  EXPECT_EQ(p.slots, std::vector<int>({63}));
+  EXPECT_EQ(p.slots, std::vector<int>({kTop}));
 
   // A failed validation decays to the next lower bucket.
   b15.next.fetch_or_mark();
@@ -86,9 +93,9 @@ TEST(HintIndex, ValidationsStayBoundedWhenEveryOneFails) {
   Index idx;
   std::deque<ToyNode> nodes;  // stable addresses, no moves
   for (int b = 0; b < Index::kSlots; ++b) nodes.emplace_back(64L * b + 1);
-  // Largest first, so shift settles at 6 before the rest are placed.
-  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it)
-    idx.publish(it->key, &*it);
+  // Largest first, so shift settles at 6 (buckets 64 keys wide) before
+  // the rest are placed.
+  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) idx.publish(&*it);
   for (int b = 0; b < Index::kSlots; ++b)
     ASSERT_EQ(idx.slot_node(b), &nodes[static_cast<std::size_t>(b)]);
 
@@ -103,28 +110,50 @@ TEST(HintIndex, ValidationsStayBoundedWhenEveryOneFails) {
 TEST(HintIndex, PurgeFindsANodeWhoseBucketMovedWithShift) {
   Index idx;
   ToyNode low(40);
-  idx.publish(low.key, &low);  // shift 0: slot 40
+  idx.publish(&low);  // shift 0: slot 40
   ASSERT_EQ(idx.slot_node(40), &low);
 
-  ToyNode big(1L << 20);  // grows shift to 15: key 40 now maps to slot 0
-  idx.publish(big.key, &big);
-  ASSERT_EQ(idx.slot_node(32), &big);
+  // Grows shift to 11: key 40 now maps to slot 0, big to the middle.
+  ToyNode big(1L << (Index::kSlotBits + 10));
+  idx.publish(&big);
+  constexpr int kMid = Index::kSlots / 2;
+  ASSERT_EQ(idx.slot_node(kMid), &big);
   EXPECT_EQ(idx.slot_node(40), &low);  // left where it was published
 
   idx.purge(&low);
   for (int i = 0; i < Index::kSlots; ++i) EXPECT_NE(idx.slot_node(i), &low);
-  EXPECT_EQ(idx.slot_node(32), &big);
+  EXPECT_EQ(idx.slot_node(kMid), &big);
   EXPECT_EQ(probe(idx, 41).found, nullptr);
+}
+
+TEST(HintIndex, OnePurgeClearsEveryShiftANodeWasPublishedUnder) {
+  Index idx;
+  ToyNode n(kTop);  // shift 0, 3, 6: slots kTop, kTop >> 3, kTop >> 6
+  const int at[] = {kTop, kTop >> 3, kTop >> 6};
+  ToyNode grow3(1L << (Index::kSlotBits + 2));  // needs shift 3
+  ToyNode grow6(1L << (Index::kSlotBits + 5));  // needs shift 6
+
+  idx.publish(&n);
+  idx.publish(&grow3);  // shift 0 -> 3
+  idx.publish(&n);
+  idx.publish(&grow6);  // shift 3 -> 6
+  idx.publish(&n);
+  for (int slot : at) ASSERT_EQ(idx.slot_node(slot), &n) << "slot " << slot;
+
+  idx.purge(&n);
+  for (int i = 0; i < Index::kSlots; ++i)
+    EXPECT_NE(idx.slot_node(i), &n) << "slot " << i;
+  EXPECT_EQ(idx.slot_node(Index::kSlots / 2), &grow6);  // others untouched
 }
 
 TEST(HintIndex, KeysAtOrBelowZeroShareSlotZero) {
   Index idx;
   ToyNode zero(0), neg(-5), min(LONG_MIN + 1);
-  idx.publish(zero.key, &zero);
+  idx.publish(&zero);
   EXPECT_EQ(idx.slot_node(0), &zero);
-  idx.publish(neg.key, &neg);
+  idx.publish(&neg);
   EXPECT_EQ(idx.slot_node(0), &neg);
-  idx.publish(min.key, &min);
+  idx.publish(&min);
   EXPECT_EQ(idx.slot_node(0), &min);
   for (int i = 1; i < Index::kSlots; ++i)
     EXPECT_EQ(idx.slot_node(i), nullptr);
@@ -140,24 +169,25 @@ TEST(HintIndex, KeysAtOrBelowZeroShareSlotZero) {
 TEST(HintIndex, KeysNearLongMaxClampToTheLastSlot) {
   Index idx;
   ToyNode near_max(LONG_MAX - 1), half(LONG_MAX / 2);
-  idx.publish(near_max.key, &near_max);  // shift 57
-  EXPECT_EQ(idx.slot_node(Index::kSlots - 1), &near_max);
-  idx.publish(half.key, &half);
-  EXPECT_EQ(idx.slot_node(31), &half);
+  idx.publish(&near_max);  // shift 63 - kSlotBits
+  EXPECT_EQ(idx.slot_node(kTop), &near_max);
+  idx.publish(&half);  // one bit narrower: the top of the lower half
+  constexpr int kHalf = Index::kSlots / 2 - 1;
+  EXPECT_EQ(idx.slot_node(kHalf), &half);
 
   Probe p = probe(idx, LONG_MAX);
   EXPECT_EQ(p.found, &near_max);
-  EXPECT_EQ(p.slots, std::vector<int>({63}));
+  EXPECT_EQ(p.slots, std::vector<int>({kTop}));
   p = probe(idx, LONG_MAX - 1);  // routing key == target: skip it
   EXPECT_EQ(p.found, &half);
-  EXPECT_EQ(p.slots, std::vector<int>({31}));
+  EXPECT_EQ(p.slots, std::vector<int>({kHalf}));
 }
 
 TEST(HintIndex, PublishingAMarkedNodeWithdrawsIt) {
   Index idx;
   ToyNode dead(500);
   dead.next.fetch_or_mark();
-  idx.publish(dead.key, &dead);
+  idx.publish(&dead);
   for (int i = 0; i < Index::kSlots; ++i) EXPECT_EQ(idx.slot_node(i), nullptr);
 }
 
@@ -165,7 +195,7 @@ TEST(HintIndex, DisabledIndexReturnsNothing) {
   Index idx(/*enabled=*/false);
   EXPECT_FALSE(idx.enabled());
   ToyNode n(10);
-  idx.publish(n.key, &n);
+  idx.publish(&n);
   for (int i = 0; i < Index::kSlots; ++i) EXPECT_EQ(idx.slot_node(i), nullptr);
   const Probe p = probe(idx, 100);
   EXPECT_EQ(p.found, nullptr);

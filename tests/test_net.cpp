@@ -398,6 +398,49 @@ TEST(Loopback, InjectedCrashReLeasesAndReaps) {
   EXPECT_EQ(blast.leaked_cells, 0u);
 }
 
+// Paced (open-loop) samples are completion - intended send, so any
+// lateness of the generator's own wake-up lands in them. At a rate far
+// below what one connection sustains, the server is idle when each op
+// comes due, and the paced p50 must read about the closed-loop round
+// trip. A generator that only wakes on a 1 ms tick reads ~0.6 ms here.
+TEST(Loopback, PacedP50StaysNearTheClosedLoopP50) {
+  if (!harness::kLatencyCompiled) GTEST_SKIP() << "latency compiled out";
+  net::ServerConfig scfg;
+  scfg.port = 0;
+  scfg.set_id = "singly/ebr";
+  scfg.workers = 1;
+  net::Server server(scfg);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  net::LoadGenConfig cfg;
+  cfg.port = server.port();
+  cfg.threads = 1;
+  cfg.connections = 2;
+  cfg.universe = 1024;
+  cfg.total_ops = 2000;
+  cfg.check_ledger = false;  // two runs share the server's ledger
+  const net::LoadGenResult closed = net::run_loadgen(cfg);
+  ASSERT_TRUE(closed.ok) << closed.error;
+
+  // 2,500 sends/s per connection: a 400 us period, not a multiple of
+  // 1 ms, so a tick-bound generator is late by a spread of offsets.
+  cfg.total_ops = 0;
+  cfg.duration_ms = 500;
+  cfg.rate_per_conn = 2500;
+  const net::LoadGenResult paced = net::run_loadgen(cfg);
+  ASSERT_TRUE(paced.ok) << paced.error;
+  EXPECT_EQ(paced.abandoned, 0);
+  ASSERT_GT(paced.total_completed(), 500);
+
+  const std::uint64_t closed_p50 = closed.profile.merged().percentile(0.5);
+  const std::uint64_t paced_p50 = paced.profile.merged().percentile(0.5);
+  EXPECT_LT(paced_p50, closed_p50 + 200'000)
+      << "paced p50 " << paced_p50 / 1000 << " us vs closed-loop p50 "
+      << closed_p50 / 1000 << " us";
+  server.stop();
+}
+
 // One client pipelines `SCAN 0 4096` frames and never reads. Without
 // backpressure every reply piles up in the connection's output buffer
 // (a 6 MB burst of such frames once grew the server to 1.7 GB). With

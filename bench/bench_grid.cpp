@@ -35,7 +35,7 @@
 //
 // where mix is add/rem/con/scan percent, dist is `uniform` or
 // `zipf:THETA`, mode is `throughput` or `rate:R`, and the latency
-// fields are empty when latency is off (--no-latency) or compiled out.
+// fields are empty when latency is off (--no-latency).
 //
 //   bench_grid [--threads P] [--c OPS] [--u UNIVERSE] [--f PREFILL]
 //              [--seed S] [--variants b,f | ids | all]
@@ -123,37 +123,6 @@ void check_cell(core::ISet& set, long prefill, const harness::RunResult& res,
   }
 }
 
-void write_header(std::ostream& os) {
-  os << "id,mix,dist,mode,kops,footprint,limbo,hint_hits,restarts,"
-        "keys_per_scan";
-  for (int cls = 0; cls < harness::kNumOpClasses; ++cls) {
-    const std::string c = op_class_name(static_cast<harness::OpClass>(cls));
-    os << ',' << c << "_count," << c << "_p50_ns," << c << "_p90_ns," << c
-       << "_p99_ns," << c << "_p999_ns," << c << "_max_ns";
-  }
-  os << '\n';
-}
-
-/// The latency fields of one CSV row: empty without a profile, and no
-/// percentiles for a class that recorded nothing.
-void write_latency_fields(std::ostream& os,
-                          const harness::LatencyProfile* lat) {
-  for (int cls = 0; cls < harness::kNumOpClasses; ++cls) {
-    if (lat == nullptr) {
-      os << ",,,,,,";
-      continue;
-    }
-    const auto& h = lat->of(static_cast<harness::OpClass>(cls));
-    os << ',' << h.count();
-    if (h.count() == 0) {
-      os << ",,,,,";
-      continue;
-    }
-    os << ',' << h.percentile(0.50) << ',' << h.percentile(0.90) << ','
-       << h.percentile(0.99) << ',' << h.percentile(0.999) << ',' << h.max();
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,12 +159,7 @@ int main(int argc, char** argv) {
   for (const auto& token : opt.get_string_list("dist", {"uniform"}))
     dists.push_back(parse_dist(token));
 
-  const std::vector<std::string> unknown = opt.unread();
-  if (!unknown.empty()) {
-    for (const auto& name : unknown)
-      std::cerr << opt.program() << ": unknown flag --" << name << "\n";
-    return 2;
-  }
+  if (!bench::all_flags_read(opt)) return 2;
 
   std::vector<std::string> cells;
   for (const auto& g : bench::expand_grid(variants, reclaimers, shards,
@@ -230,7 +194,10 @@ int main(int argc, char** argv) {
   // previous run's file must not pass on stale numbers.
   std::ofstream csv("bench_grid.csv");
   PRAGMALIST_CHECK(csv.good(), "cannot write bench_grid.csv");
-  write_header(csv);
+  csv << "id,mix,dist,mode,kops,footprint,limbo,hint_hits,restarts,"
+         "keys_per_scan";
+  bench::write_latency_header(csv);
+  csv << '\n';
   for (const auto& id : cells) {
     for (const auto& dist : dists) {
       for (const auto& mix : mixes) {
@@ -273,7 +240,7 @@ int main(int argc, char** argv) {
             << mode.str() << ',' << res.kops_per_sec() << ',' << fp << ','
             << limbo << ',' << res.agg.hint_hits << ',' << res.agg.restarts
             << ',' << keys_per_scan;
-        write_latency_fields(csv, recorded);
+        bench::write_latency_fields(csv, recorded);
         csv << '\n';
       }
     }

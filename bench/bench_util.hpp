@@ -10,6 +10,7 @@
 #include "src/common/affinity.hpp"
 #include "src/common/debug.hpp"
 #include "src/harness/catalog.hpp"
+#include "src/harness/latency.hpp"
 #include "src/harness/options.hpp"
 #include "src/harness/table.hpp"
 #include "src/workload/op_mix.hpp"
@@ -40,6 +41,48 @@ inline void emit_csv(const std::string& filename,
   std::cout << "csv: " << filename << "\n";
 }
 
+/// Typo guard for the grid runners: report every flag no getter looked
+/// up and return false (the caller exits 2), so `--twin nohint` cannot
+/// quietly run a different grid. Call after every option is read.
+inline bool all_flags_read(const harness::Options& opt) {
+  const std::vector<std::string> unknown = opt.unread();
+  for (const auto& name : unknown)
+    std::cerr << opt.program() << ": unknown flag --" << name << "\n";
+  return unknown.empty();
+}
+
+/// The per-op-class latency CSV columns bench_grid and bench_soak
+/// append to their rows: for each class in add,remove,contains,scan,
+/// `<class>_count,_p50_ns,_p90_ns,_p99_ns,_p999_ns,_max_ns`. Each name
+/// and field carries its leading comma.
+inline void write_latency_header(std::ostream& os) {
+  for (int cls = 0; cls < harness::kNumOpClasses; ++cls) {
+    const std::string c = op_class_name(static_cast<harness::OpClass>(cls));
+    os << ',' << c << "_count," << c << "_p50_ns," << c << "_p90_ns," << c
+       << "_p99_ns," << c << "_p999_ns," << c << "_max_ns";
+  }
+}
+
+/// The fields under write_latency_header: empty without a profile, and
+/// no percentiles for a class that recorded nothing.
+inline void write_latency_fields(std::ostream& os,
+                                 const harness::LatencyProfile* lat) {
+  for (int cls = 0; cls < harness::kNumOpClasses; ++cls) {
+    if (lat == nullptr) {
+      os << ",,,,,,";
+      continue;
+    }
+    const auto& h = lat->of(static_cast<harness::OpClass>(cls));
+    os << ',' << h.count();
+    if (h.count() == 0) {
+      os << ",,,,,";
+      continue;
+    }
+    os << ',' << h.percentile(0.50) << ',' << h.percentile(0.90) << ','
+       << h.percentile(0.99) << ',' << h.percentile(0.999) << ',' << h.max();
+  }
+}
+
 /// Post-run structural check; benches refuse to report numbers from a
 /// corrupted structure.
 inline void check_valid(const core::ISet& set) {
@@ -67,12 +110,10 @@ inline workload::ScanWidths scan_widths(const harness::Options& opt,
 }
 
 /// The shared --no-latency flag: per-op recording defaults on (this is
-/// an observability-first harness) and is force-off when the layer is
-/// compiled out. Pass --no-latency for pre-PR-6-comparable throughput
-/// numbers (no clock reads in the op loop). The flag is read first so
-/// it is never reported unread when the layer is compiled out.
+/// an observability-first harness); --no-latency gives the
+/// clock-read-free op loop for throughput-only numbers.
 inline bool latency_enabled(const harness::Options& opt) {
-  return !opt.get_bool("no-latency") && harness::kLatencyCompiled;
+  return !opt.get_bool("no-latency");
 }
 
 /// The shared --variants selection: paper row letters (a,c,e), full
@@ -124,7 +165,7 @@ struct GridCell {
 };
 
 /// Row-major expansion (variant -> reclaimer -> shards -> suffix) of
-/// the grid bench_grid and bench_faults sweep; shard counts < 1 are
+/// the grid bench_grid and bench_soak sweep; shard counts < 1 are
 /// skipped.
 inline std::vector<GridCell> expand_grid(
     const std::vector<std::string>& variants,

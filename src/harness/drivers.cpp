@@ -12,20 +12,6 @@
 namespace pragmalist::harness {
 namespace {
 
-/// Prefill on a scratch handle whose counters stay out of the
-/// aggregate: the population ledger is prefill + adds - rems.
-void prefill_set(core::ISet& set, long prefill, long universe,
-                 std::uint64_t seed) {
-  auto handle = set.make_handle();
-  workload::Rng rng(workload::thread_seed(seed, -1));
-  long inserted = 0;
-  while (inserted < prefill) {
-    const auto key =
-        static_cast<long>(rng.below(static_cast<std::uint64_t>(universe)));
-    inserted += handle->add(key);
-  }
-}
-
 void check_mix(long prefill, long universe, const workload::OpMix& mix,
                const workload::ScanWidths& widths) {
   PRAGMALIST_CHECK(prefill <= universe,
@@ -40,8 +26,20 @@ void check_mix(long prefill, long universe, const workload::OpMix& mix,
                    "scan widths must satisfy 1 <= min <= max");
 }
 
-/// Execute one mix operation; `width` is only meaningful for scans.
-/// Returns the op's latency class.
+}  // namespace
+
+void prefill_set(core::ISet& set, long prefill, long universe,
+                 std::uint64_t seed) {
+  auto handle = set.make_handle();
+  workload::Rng rng(workload::thread_seed(seed, -1));
+  long inserted = 0;
+  while (inserted < prefill) {
+    const auto key =
+        static_cast<long>(rng.below(static_cast<std::uint64_t>(universe)));
+    inserted += handle->add(key);
+  }
+}
+
 OpClass execute_op(core::ISetHandle& h, workload::OpKind kind, long key,
                    long width) {
   switch (kind) {
@@ -60,8 +58,6 @@ OpClass execute_op(core::ISetHandle& h, workload::OpKind kind, long key,
   }
   return OpClass::kContains;  // unreachable
 }
-
-}  // namespace
 
 long checked_range_scan(core::ISetHandle& h, long lo, long hi) {
   struct ScanState {

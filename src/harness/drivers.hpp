@@ -8,7 +8,9 @@
 //     zipfian.
 //
 // Both create one handle per worker via ISet::make_handle() and
-// aggregate the handles' OpCounters into the RunResult.
+// aggregate the handles' OpCounters into the RunResult. The mix
+// drivers and the service soak (src/service/soak.cpp) share one
+// prefill and one op dispatch: prefill_set and execute_op.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +54,19 @@ RunResult run_deterministic(core::ISet& set, int p, long n,
 /// scan ops through this, so no driver can report numbers from a
 /// misbehaving scan.
 long checked_range_scan(core::ISetHandle& h, long lo, long hi);
+
+/// Insert `prefill` distinct keys drawn uniformly from [0, universe)
+/// through a scratch handle, whose counters stay out of every
+/// aggregate: the population ledger is prefill + adds - rems. The key
+/// stream is thread_seed(seed, -1), disjoint from every worker's.
+void prefill_set(core::ISet& set, long prefill, long universe,
+                 std::uint64_t seed);
+
+/// Execute one mix operation on `key` (scans read [key, key + width -
+/// 1] through checked_range_scan; `width` is ignored otherwise) and
+/// return its latency class.
+OpClass execute_op(core::ISetHandle& h, workload::OpKind kind, long key,
+                   long width);
 
 /// `widths` is the range-width distribution for scan operations (only
 /// consulted when mix.scan_pct > 0): a scan op draws its key like any

@@ -23,9 +23,8 @@
 //
 // Gating: recording is runtime-optional (drivers take a nullable
 // profile; a null pointer costs one predicted branch per op and zero
-// clock reads) and compile-out-able (-DPRAGMALIST_LATENCY=OFF defines
-// PRAGMALIST_NO_LATENCY, turning record() and lat_now_ns() into
-// constant no-ops), so throughput benches stay honest.
+// clock reads; the benches' --no-latency passes null), so throughput
+// benches stay honest.
 #pragma once
 
 #include <algorithm>
@@ -38,21 +37,12 @@
 
 namespace pragmalist::harness {
 
-/// False when the whole recording layer is compiled out
-/// (-DPRAGMALIST_LATENCY=OFF); tests that need real recording skip.
-#ifdef PRAGMALIST_NO_LATENCY
-inline constexpr bool kLatencyCompiled = false;
-#else
-inline constexpr bool kLatencyCompiled = true;
-#endif
-
-/// Nanosecond reading of the steady clock (0 when compiled out). All
-/// latency recording uses this clock and no other: it is monotonic,
-/// unaffected by NTP, and the same clock run_team/run_soak measure
-/// their windows with, so op latencies and window durations are
+/// Nanosecond reading of the steady clock. All latency recording uses
+/// this clock and no other: it is monotonic, unaffected by NTP, and the
+/// same clock run_team/run_soak measure their windows with (and the
+/// load generator paces by), so op latencies and window durations are
 /// directly comparable.
 inline std::uint64_t lat_now_ns() {
-  if constexpr (!kLatencyCompiled) return 0;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -108,10 +98,6 @@ class LatHistogram {
   /// Record one latency. Wait-free; single writer per instance, any
   /// number of concurrent readers.
   void record(std::uint64_t ns) {
-    if constexpr (!kLatencyCompiled) {
-      (void)ns;
-      return;
-    }
     counts_[static_cast<std::size_t>(bucket_index(ns))].fetch_add(
         1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -20,18 +19,7 @@ namespace {
 
 using workload::OpKind;
 using OpClass = harness::OpClass;
-
-/// Steady-clock nanoseconds. Deliberately NOT lat_now_ns(): that one
-/// compiles to 0 under -DPRAGMALIST_LATENCY=OFF, and the engine's
-/// control flow (duration stop, pacing, churn ticks, drain deadline)
-/// must keep working in that configuration. Histogram record() is the
-/// only thing allowed to become a no-op.
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using harness::lat_now_ns;
 
 OpClass class_of(OpKind k) {
   switch (k) {
@@ -62,6 +50,7 @@ struct Slot {
   bool ever_opened = false;  // a later open is a reconnect
   long ops_done = 0;         // ops begun on THIS connection (pacing)
   std::uint64_t t0_ns = 0;   // when this connection became active
+  std::uint64_t phase_ns = 0;  // paced schedule offset of this slot
 
   workload::Rng rng{1};
 };
@@ -83,17 +72,22 @@ class Engine {
         cfg_(*shared->cfg),
         zipf_(cfg_.universe, cfg_.zipf_theta > 0 ? cfg_.zipf_theta : 0.0),
         uniform_(cfg_.universe) {
+    period_ns_ = cfg_.rate_per_conn > 0
+                     ? 1'000'000'000ULL /
+                           static_cast<std::uint64_t>(cfg_.rate_per_conn)
+                     : 0;
     slots_.resize(static_cast<std::size_t>(n_slots));
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       // Slot identity (thread index, slot index) keys the RNG stream,
       // so reconnects continue the slot's schedule deterministically.
       slots_[i].rng = workload::Rng(workload::thread_seed(
           cfg_.seed, index * 100000 + static_cast<int>(i)));
+      // The initial fill connects every slot at once; without a phase
+      // their paced sends come due together and queue behind each
+      // other. Slot i starts i/n of a period late, spreading the
+      // thread's sends evenly over each period.
+      slots_[i].phase_ns = period_ns_ * i / slots_.size();
     }
-    period_ns_ = cfg_.rate_per_conn > 0
-                     ? 1'000'000'000ULL /
-                           static_cast<std::uint64_t>(cfg_.rate_per_conn)
-                     : 0;
   }
 
   void run() {
@@ -105,7 +99,7 @@ class Engine {
     std::uint64_t drain_deadline = 0;
 
     for (;;) {
-      const std::uint64_t now = now_ns();
+      const std::uint64_t now = lat_now_ns();
       const bool stop_hit =
           sh_->stop.load(std::memory_order_relaxed) ||
           (sh_->t_deadline_ns != 0 && now >= sh_->t_deadline_ns) ||
@@ -259,7 +253,7 @@ class Engine {
     s.state = Slot::State::kActive;
     s.ever_opened = true;
     ever_connected_ = true;
-    s.t0_ns = now_ns();
+    s.t0_ns = lat_now_ns();
     ep_.mod(s.fd.get(), EPOLLIN, &s);
     int established = 0;
     for (const auto& o : slots_)
@@ -271,7 +265,7 @@ class Engine {
   /// intended send, capped at the 1 ms tick.
   std::uint64_t pace_timeout_ns() const {
     constexpr std::uint64_t kTickNs = 1'000'000;
-    const std::uint64_t now = now_ns();
+    const std::uint64_t now = lat_now_ns();
     std::uint64_t wait = kTickNs;
     for (const auto& s : slots_) {
       if (s.state != Slot::State::kActive || s.in_flight || s.draining)
@@ -285,7 +279,8 @@ class Engine {
 
   /// Paced schedule slot of the connection's next op.
   std::uint64_t intended_ns(const Slot& s) const {
-    return s.t0_ns + static_cast<std::uint64_t>(s.ops_done) * period_ns_;
+    return s.t0_ns + s.phase_ns +
+           static_cast<std::uint64_t>(s.ops_done) * period_ns_;
   }
 
   void maybe_send(Slot& s, std::uint64_t now) {
@@ -333,7 +328,7 @@ class Engine {
       return;
     }
     s.in_flight = false;
-    const std::uint64_t completion = now_ns();
+    const std::uint64_t completion = lat_now_ns();
     const std::uint64_t base = period_ns_ != 0 ? s.intended_ns : s.sent_ns;
     profile_.of(s.cls).record(completion > base ? completion - base : 0);
     if (reply.type == protocol::Reply::Type::kError) {
@@ -440,12 +435,12 @@ class Engine {
 long fetch_server_total_ops(const LoadGenConfig& cfg) {
   Fd fd = connect_tcp(cfg.host, cfg.port);
   if (!fd.valid()) return -1;
-  const std::uint64_t deadline = now_ns() + 2'000'000'000ULL;
+  const std::uint64_t deadline = lat_now_ns() + 2'000'000'000ULL;
 
   std::string out;
   protocol::encode_request(out, {"INFO"});
   std::size_t off = 0;
-  while (off < out.size() && now_ns() < deadline) {
+  while (off < out.size() && lat_now_ns() < deadline) {
     const ssize_t n = ::write(fd.get(), out.data() + off, out.size() - off);
     if (n > 0)
       off += static_cast<std::size_t>(n);
@@ -458,7 +453,7 @@ long fetch_server_total_ops(const LoadGenConfig& cfg) {
   protocol::ReplyParser parser;
   protocol::Reply reply;
   char buf[4096];
-  while (now_ns() < deadline) {
+  while (lat_now_ns() < deadline) {
     const ssize_t r = ::read(fd.get(), buf, sizeof(buf));
     if (r > 0) {
       parser.feed(buf, static_cast<std::size_t>(r));
@@ -504,7 +499,7 @@ LoadGenResult run_loadgen(const LoadGenConfig& cfg) {
 
   Shared shared;
   shared.cfg = &cfg;
-  shared.t_start_ns = now_ns();
+  shared.t_start_ns = lat_now_ns();
   if (cfg.duration_ms > 0)
     shared.t_deadline_ns =
         shared.t_start_ns +
@@ -522,7 +517,7 @@ LoadGenResult run_loadgen(const LoadGenConfig& cfg) {
   team.reserve(engines.size());
   for (auto& e : engines) team.emplace_back([&e] { e->run(); });
   for (auto& th : team) th.join();
-  res.ms = static_cast<double>(now_ns() - shared.t_start_ns) / 1e6;
+  res.ms = static_cast<double>(lat_now_ns() - shared.t_start_ns) / 1e6;
 
   for (const auto& e : engines) {
     for (int c = 0; c < harness::kNumOpClasses; ++c) {

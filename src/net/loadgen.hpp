@@ -12,7 +12,9 @@
 //
 // Latency discipline (the run_paced contract from the latency PR): in
 // paced mode a connection's op i has *intended* send time
-// t0 + i*period; its latency sample is completion - intended, so a
+// t0 + phase + i*period (phase: the slot's index / slots per thread of
+// one period, so a thread's slots do not come due together); its
+// latency sample is completion - intended, so a
 // server stall charges queueing delay to every op whose slot passed
 // while it lasted. Closed-loop mode (rate 0) records
 // completion - actual_send instead.

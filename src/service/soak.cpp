@@ -45,6 +45,14 @@ double SoakResult::last_fault_ms() const {
   return last;
 }
 
+double SoakResult::recovery_ms() const {
+  const double last = last_fault_ms();
+  if (last < 0.0) return -1.0;
+  for (const auto& s : series)
+    if (s.t_ms >= last && s.blast.clean()) return s.t_ms - last;
+  return -1.0;
+}
+
 SoakResult run_soak(core::ISet& set, const SoakConfig& cfg) {
   PRAGMALIST_CHECK(cfg.max_threads >= 1 && cfg.ticks >= 1,
                    "soak needs at least one worker and one tick");
@@ -52,19 +60,8 @@ SoakResult run_soak(core::ISet& set, const SoakConfig& cfg) {
   PRAGMALIST_CHECK(cfg.prefill <= cfg.universe,
                    "cannot prefill more distinct keys than the universe");
 
-  {
-    // Prefill on a scratch handle, outside the clock and the ledger
-    // (population conservation is prefill + adds - rems, as in
-    // run_random_mix).
-    auto handle = set.make_handle();
-    workload::Rng rng(workload::thread_seed(cfg.seed, -1));
-    long inserted = 0;
-    while (inserted < cfg.prefill) {
-      const auto key = static_cast<long>(
-          rng.below(static_cast<std::uint64_t>(cfg.universe)));
-      inserted += handle->add(key);
-    }
-  }
+  // Prefill outside the clock and the ledger, as run_random_mix does.
+  harness::prefill_set(set, cfg.prefill, cfg.universe, cfg.seed);
 
   // The zipf generator's O(universe) setup runs once, outside any
   // worker; draws are const and stateless, so one instance is shared
@@ -122,27 +119,16 @@ SoakResult run_soak(core::ISet& set, const SoakConfig& cfg) {
         break;
       }
       const workload::OpKind kind = cfg.mix.pick(rng);
-      const std::uint64_t t0 = lp ? harness::lat_now_ns() : 0;
-      harness::OpClass cls = harness::OpClass::kContains;
-      switch (kind) {
-        case workload::OpKind::kAdd:
-          handle->add(key);
-          cls = harness::OpClass::kAdd;
-          break;
-        case workload::OpKind::kRemove:
-          handle->remove(key);
-          cls = harness::OpClass::kRemove;
-          break;
-        case workload::OpKind::kContains:
-          handle->contains(key);
-          break;
-        case workload::OpKind::kScan:
-          harness::checked_range_scan(*handle, key,
-                                      key + cfg.scan_widths.pick(rng) - 1);
-          cls = harness::OpClass::kScan;
-          break;
+      const long width =
+          kind == workload::OpKind::kScan ? cfg.scan_widths.pick(rng) : 1;
+      if (lp) {
+        const std::uint64_t t0 = harness::lat_now_ns();
+        const harness::OpClass cls =
+            harness::execute_op(*handle, kind, key, width);
+        lp->of(cls).record(harness::lat_now_ns() - t0);
+      } else {
+        harness::execute_op(*handle, kind, key, width);
       }
-      if (lp) lp->of(cls).record(harness::lat_now_ns() - t0);
       // Batch the shared-counter bump so sampling does not serialize
       // the workers on one cache line.
       if (++local_ops % 64 == 0)

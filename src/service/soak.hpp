@@ -8,8 +8,8 @@
 // opens a fresh handle (leasing an EBR epoch slot or an HP hazard-cell
 // row), every departure closes one (handing its limbo to survivors),
 // and the time series shows whether memory stays bounded while that
-// churn runs -- bench_soak prints/CSVs the series, the soak stress
-// tests assert the bounds.
+// churn runs -- bench_soak summarizes it per cell (and prints it under
+// --series), the soak stress tests assert the bounds.
 #pragma once
 
 #include <cstddef>
@@ -128,8 +128,13 @@ struct SoakResult {
   std::size_t peak_footprint() const;
   std::size_t peak_limbo() const;
   /// Wall time of the last injected fault, or -1 when none fired.
-  /// bench_faults measures recovery time from this instant.
   double last_fault_ms() const;
+  /// Wall time from the last injected fault to the first sample at or
+  /// after it showing a clean blast surface (BlastStats::clean); -1
+  /// when no fault fired or no such sample exists (a fault inside the
+  /// final reap window is recovered by the end-of-run pass, after the
+  /// last sample).
+  double recovery_ms() const;
 };
 
 /// Run the soak. On return all workers have departed, so the set is

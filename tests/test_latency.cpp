@@ -78,7 +78,6 @@ TEST(LatHistogram, BucketSchemeRoundTripsAndIsMonotone) {
 }
 
 TEST(LatHistogram, PercentilesMatchSortedVectorOracle) {
-  if (!harness::kLatencyCompiled) GTEST_SKIP() << "latency compiled out";
   auto vals = mixed_scale_values(10000, 77);
   LatHistogram h;
   for (const auto v : vals) h.record(v);
@@ -111,7 +110,6 @@ TEST(LatHistogram, EmptyAndSingleValue) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max(), 0u);
   EXPECT_EQ(h.percentile(0.5), 0u);
-  if (!harness::kLatencyCompiled) GTEST_SKIP() << "latency compiled out";
   h.record(1000);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.max(), 1000u);
@@ -121,7 +119,6 @@ TEST(LatHistogram, EmptyAndSingleValue) {
 }
 
 TEST(LatHistogram, MergeIsAssociativeAndMatchesSingleRecorder) {
-  if (!harness::kLatencyCompiled) GTEST_SKIP() << "latency compiled out";
   const auto a_vals = mixed_scale_values(3000, 1);
   const auto b_vals = mixed_scale_values(4000, 2);
   const auto c_vals = mixed_scale_values(5000, 3);
@@ -151,7 +148,6 @@ TEST(LatHistogram, MergeIsAssociativeAndMatchesSingleRecorder) {
 }
 
 TEST(LatHistogram, CrossThreadMergeMatchesSequential) {
-  if (!harness::kLatencyCompiled) GTEST_SKIP() << "latency compiled out";
   constexpr int kThreads = 4;
   std::vector<std::unique_ptr<LatHistogram>> parts;
   for (int t = 0; t < kThreads; ++t)
@@ -179,7 +175,6 @@ TEST(LatHistogram, CrossThreadMergeMatchesSequential) {
 }
 
 TEST(LatHistogram, IntervalSubtractionRecoversTheWindow) {
-  if (!harness::kLatencyCompiled) GTEST_SKIP() << "latency compiled out";
   const auto first = mixed_scale_values(2000, 21);
   const auto second = mixed_scale_values(3000, 22);
   LatHistogram cum;
@@ -209,7 +204,6 @@ TEST(LatHistogram, IntervalSubtractionRecoversTheWindow) {
 }
 
 TEST(LatencyProfile, RoutesClassesAndMerges) {
-  if (!harness::kLatencyCompiled) GTEST_SKIP() << "latency compiled out";
   LatencyProfile p1, p2;
   p1.of(OpClass::kAdd).record(100);
   p1.of(OpClass::kScan).record(5000);
@@ -248,7 +242,6 @@ TEST(CoordinatedOmission, PacedLoopAttributesStallToQueuedOps) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
             .count()));
   });
-  if (!harness::kLatencyCompiled) GTEST_SKIP() << "latency compiled out";
   ASSERT_EQ(paced.count(), static_cast<std::uint64_t>(kOps));
 
   // Ops 1..~49 had intended starts during the stall: their CO-aware
@@ -310,7 +303,6 @@ TEST(RunTeam, WindowCoversTheSlowestBody) {
 // Driver-level ledger: when recording is on, histogram counts must
 // equal the op-call counters exactly, class by class.
 TEST(Drivers, RandomMixRecordsEveryOpOnce) {
-  if (!harness::kLatencyCompiled) GTEST_SKIP() << "latency compiled out";
   auto set = harness::make_set("singly/ebr");
   ASSERT_NE(set, nullptr);
   LatencyProfile lat;
@@ -383,7 +375,6 @@ TEST(Drivers, ReadPathProgressCountersAreBudgeted) {
 }
 
 TEST(Drivers, FixedRateRecordsEveryOpAndReportsBacklog) {
-  if (!harness::kLatencyCompiled) GTEST_SKIP() << "latency compiled out";
   auto set = harness::make_set("singly/ebr");
   LatencyProfile lat;
   long behind = -1;

@@ -155,6 +155,33 @@ TEST(BurstSoak, ReArrivalsReuseReclaimerSlots) {
   }
 }
 
+// recovery_ms on a hand-built series: the offset from the *last* fault
+// to the first clean sample at or after it, and -1 when there is no
+// fault or no clean sample follows it. Clean samples before the last
+// fault and attributed leaks (which stay until teardown) do not matter.
+TEST(SoakResult, RecoveryMsIsTheFirstCleanSampleAfterTheLastFault) {
+  auto sample = [](double t_ms, std::size_t crashed, std::size_t parked) {
+    service::SoakSample s;
+    s.t_ms = t_ms;
+    s.blast.crashed_slots = crashed;
+    s.blast.parked_limbo = parked;
+    return s;
+  };
+  service::SoakResult r;
+  r.series = {sample(10, 0, 0), sample(20, 0, 0), sample(40, 1, 0),
+              sample(50, 0, 3)};
+  EXPECT_EQ(r.recovery_ms(), -1.0);  // no fault fired
+
+  r.fault_events = {{0, 5.0, faults::FaultKind::kAbortWithGuardHeld},
+                    {1, 30.0, faults::FaultKind::kDepartWithoutRelease}};
+  EXPECT_EQ(r.recovery_ms(), -1.0);  // nothing clean after t = 30
+
+  r.series.push_back(sample(65, 0, 0));
+  r.series.back().blast.leaked_nodes = 1;
+  r.series.push_back(sample(80, 0, 0));
+  EXPECT_DOUBLE_EQ(r.recovery_ms(), 35.0);
+}
+
 // The sharded soak: dynamic membership over a hash-sharded set. The
 // same footprint/limbo bounds apply verbatim because every shard
 // shares ONE reclamation domain (domain-wide counters, one reclaim

@@ -69,6 +69,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "src/core/list_base.hpp"
+
 namespace pragmalist::core {
 
 template <typename Node>
@@ -201,5 +203,49 @@ class HintIndex {
   std::atomic<int> shift_{0};
   const bool enabled_;
 };
+
+/// Validated hint-index candidate for a traversal toward `key`, or
+/// nullptr: the read side both list engines share. Arena/EBR flavor:
+/// key/mark check only (arena addresses are stable; under EBR the
+/// caller's pin plus the purge/advance ordering keep a slot-visible
+/// node allocated -- file comment). HP flavor: kAnchor-protect the
+/// candidate, then re-read the slot seq_cst -- still naming it means
+/// the protection is ordered before any purge, hence before the retire
+/// that could free it -- then the same key/mark check. Either way the
+/// candidate stays covered through the caller's start-node pick. Back
+/// pointers are irrelevant here: a hint is validated forward like any
+/// anchor (for the unrolled engine, an unmarked fat node whose anchor
+/// is below `key` is a correct routing start).
+template <bool kHazards, typename Node, typename ReclaimHandle>
+Node* hint_start(const HintIndex<Node>& hints,
+                 [[maybe_unused]] ReclaimHandle& rh, long key) {
+  if constexpr (kHazards) {
+    return hints.best(key, [&](Node* n, int slot) {
+      rh.protect(hazard::kAnchor, n);
+      if (hints.slot_node(slot) != n) return false;
+      return n->key < key && !n->next.load().marked;
+    });
+  } else {
+    return hints.best(key, [&](Node* n, int) {
+      return n->key < key && !n->next.load().marked;
+    });
+  }
+}
+
+/// Advertise `n` in the hint index, 1 op in 8 per handle (`tick` is
+/// the handle's counter): the slots go stale in well under 8 ops' time
+/// only under adversarial churn, and the publish is two seq_cst
+/// accesses -- too dear for every contains. Caller contract
+/// (HintIndex::publish): n covered by the caller's guard (HP: a hazard
+/// slot) and observed unmarked during this op. The head sentinel is
+/// never advertised.
+template <typename Node>
+void maybe_publish(HintIndex<Node>& hints, unsigned& tick, const Node* head,
+                   Node* n) {
+  if (!hints.enabled()) return;
+  if (n == nullptr || n == head) return;
+  if ((++tick & 7u) != 0) return;
+  hints.publish(n);
+}
 
 }  // namespace pragmalist::core

@@ -327,42 +327,6 @@ class ListFamily {
     if constexpr (kHazards) hazard::release_cursor(*h.rh_, this);
   }
 
-  /// Validated hint-index candidate for a traversal toward `key`, or
-  /// nullptr. Arena/EBR flavor: key/mark check only (arena addresses
-  /// are stable; under EBR the caller's pin plus the purge/advance
-  /// ordering keep a slot-visible node allocated -- see
-  /// hint_index.hpp). HP flavor: kAnchor-protect the candidate, then
-  /// re-read the slot seq_cst -- still naming it means the protection
-  /// is ordered before any purge, hence before the retire that could
-  /// free it -- then the same key/mark check. Either way the candidate
-  /// stays covered through the caller's start-node pick. Back pointers
-  /// are irrelevant here: a hint is validated forward like any anchor.
-  Node* hint_start(Handle& h, long key) {
-    if constexpr (kHazards) {
-      return hints_.best(key, [&](Node* n, int slot) {
-        h.rh_->protect(hazard::kAnchor, n);
-        if (hints_.slot_node(slot) != n) return false;
-        return n->key < key && !n->next.load().marked;
-      });
-    } else {
-      return hints_.best(key, [&](Node* n, int) {
-        return n->key < key && !n->next.load().marked;
-      });
-    }
-  }
-
-  /// Advertise `n` in the hint index, 1 op in 8 (the slots go stale in
-  /// well under 8 ops' time only under adversarial churn, and the
-  /// publish is two seq_cst accesses -- too dear for every contains).
-  /// Caller contract (hint_index.hpp): n covered by the caller's guard
-  /// (HP: a hazard slot) and observed unmarked during this op.
-  void maybe_publish(Handle& h, Node* n) {
-    if (!hints_.enabled()) return;
-    if (n == nullptr || n == head_) return;
-    if ((++h.hint_tick_ & 7u) != 0) return;
-    hints_.publish(n);
-  }
-
   Node* start_node(Handle& h, long key) {
     Node* c = nullptr;
     if constexpr (kCursorOn) {
@@ -394,7 +358,7 @@ class ListFamily {
         c = nullptr;
       }
     }
-    Node* g = hint_start(h, key);
+    Node* g = hint_start<kHazards>(hints_, *h.rh_, key);
     Node* s = start::tighter(head_, c, g);
     if (s != head_ && s == g) ++h.ctr_.hint_hits;
     return s;
@@ -545,11 +509,12 @@ class ListFamily {
         domain_->track(node);
         refresh_back(p.cur, node);
         if constexpr (kHazards) {
-          update_cursor(h, p.prev);  // p.prev is anchor-protected; the
-          maybe_publish(h, p.prev);  // fresh node is not in any slot
+          // p.prev is anchor-protected; the fresh node is not in any slot
+          update_cursor(h, p.prev);
+          maybe_publish(hints_, h.hint_tick_, head_, p.prev);
         } else {
           update_cursor(h, node);
-          maybe_publish(h, node);
+          maybe_publish(hints_, h.hint_tick_, head_, node);
         }
         return true;
       }
@@ -596,7 +561,7 @@ class ListFamily {
     }
     const Marked m = mark(p.cur);
     update_cursor(h, p.prev);
-    maybe_publish(h, p.prev);
+    maybe_publish(hints_, h.hint_tick_, head_, p.prev);
     if (!m.won) return false;
     // Physical unlink: one attempt in the mild variants (the next
     // search will sweep it), mandatory help in the draconic one. A
@@ -694,7 +659,7 @@ class ListFamily {
         cur = cv.ptr;
       }
       update_cursor(h, prev);
-      maybe_publish(h, prev);
+      maybe_publish(hints_, h.hint_tick_, head_, prev);
       return cur != nullptr && cur->key == key;
     }
   }
@@ -712,7 +677,7 @@ class ListFamily {
       return scan::hazard_scan(
           *h.rh_, head_, from, hi, limit, sink,
           [&] {
-            Node* g = hint_start(h, from);
+            Node* g = hint_start<kHazards>(hints_, *h.rh_, from);
             if (g == nullptr) return head_;
             ++h.ctr_.hint_hits;
             return g;  // validated key < from, kAnchor-covered
@@ -721,7 +686,7 @@ class ListFamily {
     } else {
       // A validated hint with key < from is a correct pseudo-head for
       // the plain scan: every key it skips is below the range.
-      Node* g = hint_start(h, from);
+      Node* g = hint_start<kHazards>(hints_, *h.rh_, from);
       if (g != nullptr) ++h.ctr_.hint_hits;
       return scan::plain_scan(g != nullptr ? g : head_, from, hi, limit,
                               sink);
@@ -737,7 +702,8 @@ class ListFamily {
             [&] { drop_cursor(h); }, [](Node*, Node*, Node*) {},
             &h.ctr_.restarts);
     update_cursor(h, w.prev);
-    maybe_publish(h, w.prev);  // kAnchor still covers w.prev
+    // kAnchor still covers w.prev
+    maybe_publish(hints_, h.hint_tick_, head_, w.prev);
     return w.cur != nullptr && w.cur->key == key;
   }
 

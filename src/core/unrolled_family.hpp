@@ -467,35 +467,6 @@ class UnrolledFamilyList {
     }
   }
 
-  /// Validated hint-index candidate for a walk toward `probe`, or
-  /// nullptr. A validated fat node (unmarked, anchor < probe) is a
-  /// correct routing start: anchors increase along the chain, so the
-  /// covering node sits at or after it. Same per-reclaimer validation
-  /// as the singly family (hint_index.hpp).
-  Node* hint_start(Handle& h, long probe) {
-    if constexpr (kHazards) {
-      return hints_.best(probe, [&](Node* n, int slot) {
-        h.rh_->protect(hazard::kAnchor, n);
-        if (hints_.slot_node(slot) != n) return false;
-        return n->key < probe && !n->next.load().marked;
-      });
-    } else {
-      return hints_.best(probe, [&](Node* n, int) {
-        return n->key < probe && !n->next.load().marked;
-      });
-    }
-  }
-
-  /// Advertise the covering node, 1 op in 8 (hint_index.hpp caller
-  /// contract: n covered by the caller's guard, observed unmarked
-  /// during this op).
-  void maybe_publish(Handle& h, Node* n) {
-    if (!hints_.enabled()) return;
-    if (n == nullptr || n == head_) return;
-    if ((++h.hint_tick_ & 7u) != 0) return;
-    hints_.publish(n);
-  }
-
   /// Routing walk toward `probe` with adjacency (prev->next == cur at
   /// an observed instant; the final dead run swept). Route with
   /// probe = key + 1 and `prev` is the covering candidate: the last
@@ -506,7 +477,7 @@ class UnrolledFamilyList {
           hazard::anchored_walk<Traversal::kMild, Backoff::kNone, true, Node>(
               *h.rh_, probe,
               [&] {
-                Node* g = hint_start(h, probe);
+                Node* g = hint_start<kHazards>(hints_, *h.rh_, probe);
                 if (g == nullptr) return head_;
                 ++h.ctr_.hint_hits;
                 return g;  // validated anchor < probe, kAnchor-covered
@@ -518,7 +489,7 @@ class UnrolledFamilyList {
               &h.ctr_.restarts);
       return {w.prev, w.cur};
     } else {
-      Node* start = hint_start(h, probe);
+      Node* start = hint_start<kHazards>(hints_, *h.rh_, probe);
       if (start == nullptr)
         start = head_;
       else
@@ -568,7 +539,7 @@ class UnrolledFamilyList {
   /// walk's endpoint -- the last such node before the probe -- does
   /// not depend on where below the probe it began.
   Node* route_weak(Handle& h, long probe) {
-    Node* prev = hint_start(h, probe);
+    Node* prev = hint_start<kHazards>(hints_, *h.rh_, probe);
     if (prev == nullptr || prev->next.load().marked)
       prev = head_;
     else
@@ -749,7 +720,8 @@ class UnrolledFamilyList {
         const long c = a->cells[idx].load(std::memory_order_relaxed);
         if (c == key) {
           unlock_node(a);
-          maybe_publish(h, a);  // a stays guard-covered past the unlock
+          // a stays guard-covered past the unlock
+          maybe_publish(hints_, h.hint_tick_, head_, a);
           return false;  // present (live: the node is unmarked)
         }
         if (c > key) break;
@@ -762,7 +734,7 @@ class UnrolledFamilyList {
         a->cells[idx].store(key, std::memory_order_relaxed);
         a->count.store(cnt + 1, std::memory_order_relaxed);
         unlock_node(a);
-        maybe_publish(h, a);
+        maybe_publish(hints_, h.hint_tick_, head_, a);
         return true;
       }
       // Split-right: K existing keys + the new one; the lower
@@ -791,7 +763,8 @@ class UnrolledFamilyList {
       a->count.store(kSplitKeep, std::memory_order_relaxed);
       unlock_node(a);
       domain_->track(b);
-      maybe_publish(h, a);  // not b: the fresh sibling is unprotected
+      // not b: the fresh sibling is unprotected
+      maybe_publish(hints_, h.hint_tick_, head_, a);
       return true;
     }
   }
@@ -851,7 +824,8 @@ class UnrolledFamilyList {
       if (mode == RemoveMode::kNormal && cnt - 1 <= kMergeCount)
         try_merge(h, a);
       unlock_node(a);
-      maybe_publish(h, a);  // still unmarked: it kept >= 1 key
+      // still unmarked: it kept >= 1 key
+      maybe_publish(hints_, h.hint_tick_, head_, a);
       return true;
     }
   }
@@ -902,7 +876,7 @@ class UnrolledFamilyList {
         continue;
       }
       if (view_contains(v, key)) {
-        maybe_publish(h, a);
+        maybe_publish(hints_, h.hint_tick_, head_, a);
         return true;
       }
       Node* a2 = route_weak(h, key + 1);
@@ -920,7 +894,7 @@ class UnrolledFamilyList {
   /// allocated while the second walk runs.
   bool contains_hazard(Handle& h, long key) {
     auto hinted_start = [&] {
-      Node* g = hint_start(h, key + 1);
+      Node* g = hint_start<kHazards>(hints_, *h.rh_, key + 1);
       if (g == nullptr) return head_;
       ++h.ctr_.hint_hits;
       return g;  // validated anchor < probe, kAnchor-covered
@@ -939,7 +913,8 @@ class UnrolledFamilyList {
         continue;
       }
       if (view_contains(v, key)) {
-        maybe_publish(h, a);  // kAnchor still covers a
+        // kAnchor still covers a
+        maybe_publish(hints_, h.hint_tick_, head_, a);
         return true;
       }
       hazard::publish_cursor(*h.rh_, this, a);  // gapless: kAnchor live

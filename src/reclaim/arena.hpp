@@ -20,94 +20,70 @@
 //
 // Like the reclaiming policies, one Arena instance is a *domain*: a
 // sharded set backs every shard with the same registry, so
-// allocated_nodes() aggregates across shards for free and handles
-// (stateless here) are leased per thread.
+// allocated_nodes() aggregates across shards for free and handles (a
+// slot cache, no lease slot) are made per thread. Everything but the
+// registry is the shared core (domain.hpp): the pool, the handles'
+// construct/dispose, limbo_nodes() (always 0: nothing is retired) and
+// blast_stats() (all-zero: nothing is ever parked or attributed).
 #pragma once
 
 #include <cstddef>
-#include <utility>
 
-#include "src/alloc/slab.hpp"
 #include "src/core/list_base.hpp"
-#include "src/faults/faults.hpp"
+#include "src/reclaim/domain.hpp"
 
 namespace pragmalist::reclaim {
 
 template <typename Node>
-class Arena {
+class Arena : public Domain<Node> {
  public:
   static constexpr bool kStableAddresses = true;
   static constexpr bool kHazards = false;
   static constexpr bool kReclaims = false;
 
-  class Handle {
+  /// Fault injection is the core's kind check and nothing else: there
+  /// is no guard to leak, no departure protocol to skip, and retires
+  /// already do nothing. The arena is fault-oblivious by construction
+  /// -- crashed workers cost exactly what well-behaved ones do (the
+  /// fault tier asserts its blast stats stay all-zero). The slot cache
+  /// still drains on destruction: cached slots are clean memory, not
+  /// protected state.
+  class Handle : public HandleBase<Arena, Node> {
    public:
     struct Guard {};
     Guard guard() { return {}; }
     void retire(Node*) {}  // the registry frees everything at teardown
 
-    /// Node allocation, through the per-thread slot cache (a plain
-    /// `new` when the domain runs in heap mode).
-    template <typename... Args>
-    Node* construct(Args&&... args) {
-      return cache_.construct(std::forward<Args>(args)...);
-    }
-
-    /// Free a never-published node (a lost insert race). Published
-    /// nodes are the registry's to free at teardown.
-    void dispose(Node* n) { cache_.destroy(n); }
-
-    /// Fault injection is a no-op: there is no guard to leak, no
-    /// departure protocol to skip, and retires already do nothing.
-    /// The arena is fault-oblivious by construction -- crashed workers
-    /// cost exactly what well-behaved ones do (the fault tier asserts
-    /// its blast stats stay all-zero). The slot cache still drains on
-    /// destruction: cached slots are clean memory, not protected state.
-    void abandon(faults::FaultKind) {}
+    /// A skipped retire is an ordinary remove here: the registry owns
+    /// and frees every published node, so nothing may be attributed
+    /// (the core would free it a second time).
+    void leak(Node*) = delete;
 
    private:
     friend class Arena;
-    explicit Handle(alloc::SlabPool<Node>* pool) : cache_(pool) {}
-    alloc::ThreadCache<Node> cache_;
+    explicit Handle(Arena* d) : HandleBase<Arena, Node>(d, -1) {}
   };
 
-  explicit Arena(alloc::Mode mode = alloc::Mode::kHeap) : pool_(mode) {}
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
+  explicit Arena(alloc::Mode mode = alloc::Mode::kHeap)
+      : Domain<Node>(mode) {}
 
   /// Free every tracked node through the pool *before* the members
   /// destruct (the registry's own destructor would `delete` them).
   ~Arena() {
-    registry_.free_all([this](Node* n) { pool_.destroy(n); });
+    registry_.free_all([this](Node* n) { this->destroy(n); });
   }
 
-  Handle make_handle() { return Handle(&pool_); }
+  Handle make_handle() { return Handle(this); }
 
   void track(Node* n) { registry_.track(n); }
 
   std::size_t live_nodes() const { return registry_.count(); }
 
   /// Nothing to reap: nothing is ever retired into limbo, and a
-  /// crashed handle holds no state (see Handle::abandon). The catalog
-  /// adapter reads these off every engine's domain(), whatever its
-  /// policy.
-  std::size_t limbo_nodes() const { return 0; }
+  /// crashed handle holds no state (see Handle).
   std::size_t reap_crashed() { return 0; }
-  faults::BlastStats blast_stats() const { return {}; }
-
-  /// Domain-level allocation (sentinels, teardown paths).
-  template <typename... Args>
-  Node* construct(Args&&... args) {
-    return pool_.construct(std::forward<Args>(args)...);
-  }
-  void destroy(Node* n) { pool_.destroy(n); }
-
-  alloc::Mode alloc_mode() const { return pool_.mode(); }
-  alloc::SlabStats slab_stats() const { return pool_.stats(); }
-  alloc::SlabPool<Node>& pool() { return pool_; }
 
  private:
-  alloc::SlabPool<Node> pool_;  // first: nodes drain into it above
   core::AllocRegistry<Node> registry_;
 };
 

@@ -79,6 +79,9 @@
 // the same node type (the sharded set runs every shard against one
 // domain), and handles are leased per *thread*, not per list -- one
 // epoch slot covers a thread's operations on all of them.
+//
+// The bookkeeping is the shared core (domain.hpp); this file is the
+// epoch protocol: pin, bags, cadence, orphan pool.
 #pragma once
 
 #include <algorithm>
@@ -89,22 +92,26 @@
 #include <utility>
 #include <vector>
 
-#include "src/alloc/slab.hpp"
-#include "src/common/debug.hpp"
-#include "src/faults/faults.hpp"
+#include "src/reclaim/domain.hpp"
 
 namespace pragmalist::reclaim {
 
 template <typename Node>
-class Ebr {
+class Ebr : public Domain<Node, std::pair<Node*, std::uint64_t>> {
+  /// A retired node with its retire epoch: the form orphans and
+  /// crashed leases keep, so adoption applies the two-epoch rule.
+  using Entry = std::pair<Node*, std::uint64_t>;
+  using Base = Domain<Node, Entry>;
+  using typename Base::CrashedLease;
+
  public:
   static constexpr bool kStableAddresses = false;
   static constexpr bool kHazards = false;
   static constexpr bool kReclaims = true;
-  static constexpr int kMaxHandles = 256;
   static constexpr int kBags = 3;
   static constexpr std::size_t kRetireThreshold = 128;
   static constexpr std::size_t kCollectThresholdMax = 4096;
+  using Base::kMaxHandles;
 
  private:
   struct alignas(64) Slot {
@@ -121,23 +128,12 @@ class Ebr {
   };
 
  public:
-  class Handle {
+  class Handle : public HandleBase<Ebr, Node> {
+    using HandleBase<Ebr, Node>::d_;
+    using HandleBase<Ebr, Node>::slot_;
+
    public:
-    Handle(Handle&& o) noexcept
-        : d_(o.d_),
-          slot_(o.slot_),
-          limbo_size_(o.limbo_size_),
-          collect_threshold_(o.collect_threshold_),
-          retired_since_collect_(o.retired_since_collect_),
-          rate_ewma_(o.rate_ewma_),
-          last_collect_epoch_(o.last_collect_epoch_),
-          cache_(std::move(o.cache_)) {
-      for (int b = 0; b < kBags; ++b) bags_[b] = std::move(o.bags_[b]);
-      o.d_ = nullptr;
-      o.limbo_size_ = 0;
-    }
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
+    Handle(Handle&&) = default;
     ~Handle() {
       if (d_ == nullptr) return;
       // One last unpinned free pass, then hand whatever is still too
@@ -146,7 +142,7 @@ class Ebr {
       // never leak their limbo to the end of the run -- the service
       // tier's arrival/departure churn depends on this.
       collect();
-      d_->orphan_bags(bags_, *this);
+      d_->orphan(take_bags());
       d_->slots_[slot_].active.store(false, std::memory_order_release);
     }
 
@@ -154,17 +150,7 @@ class Ebr {
     /// why the free pass runs at release, never while pinned.
     class Guard {
      public:
-      explicit Guard(Handle& h) : h_(h) {
-        Slot& slot = h.d_->slots_[h.slot_];
-        slot.pinned.store(true, std::memory_order_seq_cst);
-        for (;;) {  // never publish a stale-at-birth epoch
-          const std::uint64_t e =
-              h.d_->global_epoch_.load(std::memory_order_seq_cst);
-          slot.epoch.store(e, std::memory_order_seq_cst);
-          if (h.d_->global_epoch_.load(std::memory_order_seq_cst) == e)
-            break;
-        }
-      }
+      explicit Guard(Handle& h) : h_(h) { h.d_->pin(h.slot_); }
       Guard(const Guard&) = delete;
       Guard& operator=(const Guard&) = delete;
       ~Guard() {
@@ -179,19 +165,6 @@ class Ebr {
 
     Guard guard() { return Guard(*this); }
 
-    /// Node allocation, through the per-thread slot cache (a plain
-    /// `new` when the domain runs in heap mode). The cache drains on
-    /// handle destruction -- and on abandon: cached slots are clean
-    /// memory, never protected state, so a crash leaks none of them.
-    template <typename... Args>
-    Node* construct(Args&&... args) {
-      return cache_.construct(std::forward<Args>(args)...);
-    }
-
-    /// Free a never-published node (a lost insert race) immediately:
-    /// no reader can hold it, so it skips limbo entirely.
-    void dispose(Node* n) { cache_.destroy(n); }
-
     void retire(Node* n) {
       const std::uint64_t e =
           d_->global_epoch_.load(std::memory_order_acquire);
@@ -199,13 +172,13 @@ class Ebr {
       if (!bag.nodes.empty() && bag.epoch != e) {
         // Same residue, strictly older: the bag is >= kBags epochs old,
         // past the two-epoch grace period, free it whole before reuse.
-        d_->free_bag(bag, *this);
+        free_bag(bag);
       }
       bag.epoch = e;
       bag.nodes.push_back(n);
       ++limbo_size_;
       ++retired_since_collect_;
-      d_->limbo_.fetch_add(1, std::memory_order_relaxed);
+      d_->note_retired();
     }
 
     /// Adaptive cadence trigger, checked at guard release. Pressure is
@@ -243,7 +216,7 @@ class Ebr {
           d_->orphan_count_.load(std::memory_order_relaxed);
       for (Bag& bag : bags_) {
         if (bag.nodes.empty()) continue;
-        if (bag.epoch + 2 <= min_epoch) d_->free_bag(bag, *this);
+        if (bag.epoch + 2 <= min_epoch) free_bag(bag);
       }
       d_->collect_orphans(min_epoch);
       adapt_cadence(limbo_before, orphans_before);
@@ -265,33 +238,37 @@ class Ebr {
     /// limbo_nodes(), but unadoptable until reap_crashed() -- and the
     /// handle is dead afterwards (its destructor is a no-op).
     void abandon(faults::FaultKind k) {
-      PRAGMALIST_CHECK(!faults::is_op_fault(k),
-                       "op-level faults are injected by the engine, not "
-                       "the reclaim handle");
-      if (k == faults::FaultKind::kAbortWithGuardHeld) {
-        Slot& slot = d_->slots_[slot_];
-        slot.pinned.store(true, std::memory_order_seq_cst);
-        for (;;) {  // same publish loop as Guard: never a stale pin
-          const std::uint64_t e =
-              d_->global_epoch_.load(std::memory_order_seq_cst);
-          slot.epoch.store(e, std::memory_order_seq_cst);
-          if (d_->global_epoch_.load(std::memory_order_seq_cst) == e)
-            break;
-        }
-      }
-      d_->park_crashed(slot_, bags_, *this);
+      HandleBase<Ebr, Node>::abandon(k);
+      if (k == faults::FaultKind::kAbortWithGuardHeld) d_->pin(slot_);
+      d_->park_crashed(slot_, take_bags());
       d_ = nullptr;
     }
 
-    /// Fault injection (kRetireSkipped): `n` was unlinked but the
-    /// crash skipped its retire. The domain attributes and owns it --
-    /// counted by blast_stats().leaked_nodes, freed only at teardown,
-    /// never part of limbo.
-    void leak(Node* n) { d_->leak_node(n); }
-
    private:
     friend class Ebr;
-    Handle(Ebr* d, int slot) : d_(d), slot_(slot), cache_(&d->pool_) {}
+    Handle(Ebr* d, int slot) : HandleBase<Ebr, Node>(d, slot) {}
+
+    /// Free a bag into this handle's slot cache, where its next
+    /// allocations reuse the slots without a refill.
+    void free_bag(Bag& bag) {
+      for (Node* n : bag.nodes) this->dispose(n);
+      d_->note_freed(bag.nodes.size());
+      limbo_size_ -= bag.nodes.size();
+      bag.nodes.clear();
+    }
+
+    /// Empty every bag into retire-epoch-tagged entries (departure and
+    /// crash both hand the whole limbo on in this form).
+    std::vector<Entry> take_bags() {
+      std::vector<Entry> out;
+      out.reserve(limbo_size_);
+      for (Bag& bag : bags_) {
+        for (Node* n : bag.nodes) out.emplace_back(n, bag.epoch);
+        bag.nodes.clear();
+      }
+      limbo_size_ = 0;
+      return out;
+    }
 
     /// Re-tune the trigger after a pass. A futile pass (freed nothing,
     /// own limbo or orphans alike) over above-threshold pressure means
@@ -322,130 +299,70 @@ class Ebr {
       }
     }
 
-    Ebr* d_;
-    int slot_;
     Bag bags_[kBags];
     std::size_t limbo_size_ = 0;
     std::size_t collect_threshold_ = kRetireThreshold;
     std::size_t retired_since_collect_ = 0;
     std::size_t rate_ewma_ = kRetireThreshold;
     std::uint64_t last_collect_epoch_ = 0;
-    alloc::ThreadCache<Node> cache_;
   };
 
-  explicit Ebr(alloc::Mode mode = alloc::Mode::kHeap) : pool_(mode) {}
-  Ebr(const Ebr&) = delete;
-  Ebr& operator=(const Ebr&) = delete;
+  explicit Ebr(alloc::Mode mode = alloc::Mode::kHeap) : Base(mode) {}
 
   ~Ebr() {
-    for (const auto& entry : orphans_) pool_.destroy(entry.first);
-    // Crashed leases nobody reaped, and attributed leaks: the domain
-    // owns both, so even a faulted run tears down ASan-clean.
-    for (const auto& lease : crashed_)
-      for (const auto& entry : lease.nodes) pool_.destroy(entry.first);
-    for (Node* n : leaked_) pool_.destroy(n);
+    for (const Entry& e : orphans_) this->destroy(e.first);
   }
 
-  Handle make_handle() {
-    for (int i = 0; i < kMaxHandles; ++i) {
-      bool expected = false;
-      if (slots_[i].active.compare_exchange_strong(
-              expected, true, std::memory_order_acq_rel))
-        return Handle(this, i);
-    }
-    PRAGMALIST_CHECK(false, "reclaim::Ebr: more than 256 live handles");
-    __builtin_unreachable();
-  }
-
-  void track(Node*) { allocated_.fetch_add(1, std::memory_order_relaxed); }
-
-  std::size_t live_nodes() const {
-    return allocated_.load(std::memory_order_relaxed) -
-           freed_.load(std::memory_order_relaxed);
-  }
-
-  /// Retired-not-yet-freed nodes across every handle plus the orphan
-  /// pool left by departed handles. The soak harness samples this as
-  /// the limbo-depth series.
-  std::size_t limbo_nodes() const {
-    return limbo_.load(std::memory_order_relaxed);
-  }
+  Handle make_handle() { return Handle(this, Base::lease(slots_)); }
 
   /// Current global epoch (metrics/tests only).
   std::uint64_t epoch() const {
     return global_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Supervisor recovery: release every crashed lease. Unpins the
-  /// slot (the horizon resumes), moves the parked nodes into the
-  /// orphan pool (any survivor's next collect adopts and frees them
-  /// under the usual two-epoch rule), and frees the slot for
-  /// re-lease. Returns the number of leases reaped. Safe to call from
-  /// any thread while workers run.
+  /// Supervisor recovery: release every crashed lease. Moves the
+  /// parked nodes into the orphan pool (any survivor's next collect
+  /// adopts and frees them under the usual two-epoch rule), unpins the
+  /// slot (the horizon resumes) and frees it for re-lease. Returns the
+  /// number of leases reaped. Safe to call from any thread while
+  /// workers run.
   std::size_t reap_crashed() {
-    std::vector<CrashedLease> leases;
-    {
-      std::lock_guard<std::mutex> lock(crashed_mu_);
-      leases.swap(crashed_);
-      crashed_count_.store(0, std::memory_order_relaxed);
-    }
-    if (leases.empty()) return 0;
-    {
-      std::lock_guard<std::mutex> lock(orphans_mu_);
-      for (const auto& lease : leases)
-        for (const auto& entry : lease.nodes) orphans_.push_back(entry);
-      orphan_count_.store(orphans_.size(), std::memory_order_relaxed);
-    }
-    std::size_t parked = 0;
-    for (const auto& lease : leases) {
-      parked += lease.nodes.size();
+    return Base::reap([this](CrashedLease& lease) {
+      orphan(lease.nodes);
       // Hand the nodes off *before* unpinning: the stalled horizon
       // keeps them unfreeable until this store, so adoption can never
       // free something the dead pin still covered.
       slots_[lease.slot].pinned.store(false, std::memory_order_seq_cst);
       slots_[lease.slot].active.store(false, std::memory_order_release);
-    }
-    parked_limbo_.fetch_sub(parked, std::memory_order_relaxed);
-    return leases.size();
+    });
   }
 
-  /// Blast-radius snapshot (see faults::BlastStats). Sampled per tick
-  /// by the soak driver; horizon_lag > 0 with no crashed slots is just
-  /// normal epoch skew, while a persistent lag under a crashed slot is
-  /// the guard-held stall.
+  /// Blast-radius snapshot (see faults::BlastStats): the shared fault
+  /// ledgers plus horizon_lag. Sampled per tick by the soak harness;
+  /// horizon_lag > 0 with no crashed slots is just normal epoch skew,
+  /// while a persistent lag under a crashed slot is the guard-held
+  /// stall.
   faults::BlastStats blast_stats() const {
-    faults::BlastStats b;
-    b.leaked_nodes = leaked_count_.load(std::memory_order_relaxed);
-    b.crashed_slots = crashed_count_.load(std::memory_order_relaxed);
-    b.parked_limbo = parked_limbo_.load(std::memory_order_relaxed);
+    faults::BlastStats b = Base::blast_stats();
     const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
     b.horizon_lag = e - min_pinned_epoch();
-    b.leaked_slabs = leaked_slab_count();
     return b;
   }
-
-  /// Domain-level allocation (sentinels, teardown paths).
-  template <typename... Args>
-  Node* construct(Args&&... args) {
-    return pool_.construct(std::forward<Args>(args)...);
-  }
-  void destroy(Node* n) { pool_.destroy(n); }
-
-  alloc::Mode alloc_mode() const { return pool_.mode(); }
-  alloc::SlabStats slab_stats() const { return pool_.stats(); }
-  alloc::SlabPool<Node>& pool() { return pool_; }
 
  private:
   friend class Handle;
 
-  /// Free a bag into the collecting handle's slot cache, where the
-  /// handle's next allocations reuse the slots without a refill.
-  void free_bag(Bag& bag, Handle& h) {
-    for (Node* n : bag.nodes) h.dispose(n);
-    freed_.fetch_add(bag.nodes.size(), std::memory_order_relaxed);
-    limbo_.fetch_sub(bag.nodes.size(), std::memory_order_relaxed);
-    h.limbo_size_ -= bag.nodes.size();
-    bag.nodes.clear();
+  /// Pin `slot` at the current epoch: set the pinned flag, then publish
+  /// an epoch and re-read the global one until they agree, so a pin is
+  /// never stale at birth. Shared by Guard and the guard-held crash.
+  void pin(int slot) {
+    Slot& s = slots_[slot];
+    s.pinned.store(true, std::memory_order_seq_cst);
+    for (;;) {
+      const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
+      s.epoch.store(e, std::memory_order_seq_cst);
+      if (global_epoch_.load(std::memory_order_seq_cst) == e) break;
+    }
   }
 
   /// Smallest epoch any pinned handle has published (the reclamation
@@ -474,18 +391,14 @@ class Ebr {
                                           std::memory_order_seq_cst);
   }
 
-  /// Departure path: move a dying handle's too-young bags into the
-  /// orphan pool, keeping each node's retire epoch so adoption applies
-  /// the same two-epoch rule. The mutex is only ever taken here (rare:
-  /// schedule edges) and in collect_orphans (try_lock, off the
-  /// operation path), so operations themselves stay lock-free.
-  void orphan_bags(Bag (&bags)[kBags], Handle& h) {
+  /// Departure and reap path: move retire-epoch-tagged nodes into the
+  /// orphan pool. The mutex is only ever taken here (rare: schedule
+  /// edges and supervisor reaps) and in collect_orphans (try_lock, off
+  /// the operation path), so operations themselves stay lock-free.
+  void orphan(const std::vector<Entry>& nodes) {
+    if (nodes.empty()) return;
     std::lock_guard<std::mutex> lock(orphans_mu_);
-    for (Bag& bag : bags) {
-      for (Node* n : bag.nodes) orphans_.emplace_back(n, bag.epoch);
-      h.limbo_size_ -= bag.nodes.size();
-      bag.nodes.clear();
-    }
+    orphans_.insert(orphans_.end(), nodes.begin(), nodes.end());
     orphan_count_.store(orphans_.size(), std::memory_order_relaxed);
   }
 
@@ -498,7 +411,7 @@ class Ebr {
     std::size_t w = 0;
     for (std::size_t r = 0; r < orphans_.size(); ++r) {
       if (orphans_[r].second + 2 <= min_epoch) {
-        pool_.destroy(orphans_[r].first);
+        this->destroy(orphans_[r].first);
         ++freed;
       } else {
         orphans_[w++] = orphans_[r];
@@ -507,72 +420,14 @@ class Ebr {
     orphans_.resize(w);
     orphan_count_.store(w, std::memory_order_relaxed);
     orphans_mu_.unlock();
-    freed_.fetch_add(freed, std::memory_order_relaxed);
-    limbo_.fetch_sub(freed, std::memory_order_relaxed);
+    this->note_freed(freed);
   }
 
-  /// One abandoned handle: the slot it still occupies and its parked
-  /// limbo (with retire epochs, so adoption after reaping applies the
-  /// normal two-epoch rule).
-  struct CrashedLease {
-    int slot;
-    std::vector<std::pair<Node*, std::uint64_t>> nodes;
-  };
-
-  /// Park an abandoned handle's bags and record the lease. The slot
-  /// stays active (and possibly pinned) until reap_crashed().
-  void park_crashed(int slot, Bag (&bags)[kBags], Handle& h) {
-    CrashedLease lease;
-    lease.slot = slot;
-    for (Bag& bag : bags) {
-      for (Node* n : bag.nodes) lease.nodes.emplace_back(n, bag.epoch);
-      h.limbo_size_ -= bag.nodes.size();
-      bag.nodes.clear();
-    }
-    std::lock_guard<std::mutex> lock(crashed_mu_);
-    parked_limbo_.fetch_add(lease.nodes.size(), std::memory_order_relaxed);
-    crashed_.push_back(std::move(lease));
-    crashed_count_.store(crashed_.size(), std::memory_order_relaxed);
-  }
-
-  /// Attribute a kRetireSkipped leak: the node stays allocated (it is
-  /// outside limbo and the orphan pool) and is freed at teardown.
-  void leak_node(Node* n) {
-    std::lock_guard<std::mutex> lock(leaked_mu_);
-    leaked_.push_back(n);
-    leaked_count_.store(leaked_.size(), std::memory_order_relaxed);
-  }
-
-  /// Distinct slabs holding attributed leaks (slab-leak attribution
-  /// for the fault tier; 0 in heap mode where there are no slabs).
-  std::size_t leaked_slab_count() const {
-    if (pool_.mode() != alloc::Mode::kSlab) return 0;
-    std::lock_guard<std::mutex> lock(leaked_mu_);
-    std::vector<const void*> slabs;
-    for (const Node* n : leaked_) {
-      const void* s = pool_.slab_of(n);
-      if (std::find(slabs.begin(), slabs.end(), s) == slabs.end())
-        slabs.push_back(s);
-    }
-    return slabs.size();
-  }
-
-  alloc::SlabPool<Node> pool_;  // first: every free above drains into it
   Slot slots_[kMaxHandles];
   std::atomic<std::uint64_t> global_epoch_{2};
-  std::atomic<std::size_t> allocated_{0};
-  std::atomic<std::size_t> freed_{0};
-  std::atomic<std::size_t> limbo_{0};
   std::mutex orphans_mu_;
-  std::vector<std::pair<Node*, std::uint64_t>> orphans_;  // guarded by mu
+  std::vector<Entry> orphans_;  // guarded by orphans_mu_
   std::atomic<std::size_t> orphan_count_{0};
-  std::mutex crashed_mu_;
-  std::vector<CrashedLease> crashed_;  // guarded by crashed_mu_
-  std::atomic<std::size_t> crashed_count_{0};
-  std::atomic<std::size_t> parked_limbo_{0};
-  mutable std::mutex leaked_mu_;  // blast_stats() walks leaked_ (const)
-  std::vector<Node*> leaked_;     // guarded by leaked_mu_
-  std::atomic<std::size_t> leaked_count_{0};
 };
 
 }  // namespace pragmalist::reclaim

@@ -54,33 +54,35 @@
 // treats its own remembered cursor as lost instead of dereferencing a
 // node the cell no longer protects (or clearing a cell that now
 // guards someone else's cursor).
+//
+// The bookkeeping is the shared core (domain.hpp); this file is the
+// hazard protocol: cells, scan, orphan stack, cursor_owner.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "src/alloc/slab.hpp"
-#include "src/common/debug.hpp"
 #include "src/core/list_base.hpp"
-#include "src/faults/faults.hpp"
+#include "src/reclaim/domain.hpp"
 
 namespace pragmalist::reclaim {
 
 template <typename Node>
-class Hp {
+class Hp : public Domain<Node> {
+  using Base = Domain<Node>;
+  using typename Base::CrashedLease;
+
  public:
   static constexpr bool kStableAddresses = false;
   static constexpr bool kHazards = true;
   static constexpr bool kReclaims = true;
-  static constexpr int kMaxHandles = 256;
   static constexpr int kSlots = 4;
   static constexpr std::size_t kRetireThreshold = 64;
+  using Base::kMaxHandles;
 
  private:
   struct alignas(64) Slot {
@@ -89,49 +91,27 @@ class Hp {
   };
 
  public:
-  class Handle {
+  class Handle : public HandleBase<Hp, Node> {
+    using HandleBase<Hp, Node>::d_;
+    using HandleBase<Hp, Node>::slot_;
+    using HandleBase<Hp, Node>::cache_;
+
    public:
-    Handle(Handle&& o) noexcept
-        : cursor_owner(o.cursor_owner),
-          d_(o.d_),
-          slot_(o.slot_),
-          retired_(std::move(o.retired_)),
-          cache_(std::move(o.cache_)) {
-      o.d_ = nullptr;
-      o.retired_.clear();
-    }
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
+    Handle(Handle&&) = default;
     ~Handle() {
       if (d_ == nullptr) return;
       // Departure protocol -- see the file comment. The final scan runs
       // with our own cells still published, so a self-protected cursor
       // node correctly survives into the orphan stack rather than being
       // freed out from under a concurrent reader of the same node.
+      // Survivors stay counted in limbo: orphans are still retired.
       d_->scan(retired_, cache_);
-      d_->limbo_.fetch_sub(retired_.size(), std::memory_order_relaxed);
-      for (Node* n : retired_) d_->push_orphan(n);
-      retired_.clear();
-      for (auto& h : d_->slots_[slot_].hp)
-        h.store(nullptr, std::memory_order_release);
-      d_->slots_[slot_].active.store(false, std::memory_order_release);
+      for (Node* n : retired_) core::push_intrusive(d_->orphans_, n);
+      d_->release_slot(slot_);
     }
 
     struct Guard {};
     Guard guard() { return {}; }
-
-    /// Node allocation, through the per-thread slot cache (a plain
-    /// `new` when the domain runs in heap mode). The cache drains on
-    /// handle destruction -- and on abandon: cached slots are clean
-    /// memory, never protected state, so a crash leaks none of them.
-    template <typename... Args>
-    Node* construct(Args&&... args) {
-      return cache_.construct(std::forward<Args>(args)...);
-    }
-
-    /// Free a never-published node (a lost insert race) immediately:
-    /// no reader can hold it, so it skips retire/scan entirely.
-    void dispose(Node* n) { cache_.destroy(n); }
 
     /// Publish: the store must be ordered before the caller's
     /// revalidation read, hence seq_cst (a release store could be
@@ -148,7 +128,7 @@ class Hp {
 
     void retire(Node* n) {
       retired_.push_back(n);
-      d_->limbo_.fetch_add(1, std::memory_order_relaxed);
+      d_->note_retired();
       if (retired_.size() >= kRetireThreshold) collect();
     }
 
@@ -171,23 +151,13 @@ class Hp {
     /// unadoptable -- and the slot stays leased until reap_crashed().
     /// The handle is dead afterwards (its destructor is a no-op).
     void abandon(faults::FaultKind k) {
-      PRAGMALIST_CHECK(!faults::is_op_fault(k),
-                       "op-level faults are injected by the engine, not "
-                       "the reclaim handle");
+      HandleBase<Hp, Node>::abandon(k);
       if (k == faults::FaultKind::kDepartWithoutRelease) {
-        for (int s = 0; s + 1 < kSlots; ++s)
-          d_->slots_[slot_].hp[static_cast<std::size_t>(s)].store(
-              nullptr, std::memory_order_release);
+        for (int s = 0; s + 1 < kSlots; ++s) clear(s);
       }
-      d_->park_crashed(slot_, retired_);
+      d_->park_crashed(slot_, std::move(retired_));
       d_ = nullptr;
     }
-
-    /// Fault injection (kRetireSkipped): `n` was unlinked but the
-    /// crash skipped its retire. The domain attributes and owns it --
-    /// counted by blast_stats().leaked_nodes, freed only at teardown,
-    /// never part of limbo.
-    void leak(Node* n) { d_->leak_node(n); }
 
     /// Which borrower (list engine) currently owns the persistent
     /// kCursor cell -- see the file comment. Only ever read/written by
@@ -196,62 +166,30 @@ class Hp {
 
    private:
     friend class Hp;
-    Handle(Hp* d, int slot) : d_(d), slot_(slot), cache_(&d->pool_) {}
+    Handle(Hp* d, int slot) : HandleBase<Hp, Node>(d, slot) {}
 
-    Hp* d_;
-    int slot_;
     std::vector<Node*> retired_;
-    alloc::ThreadCache<Node> cache_;
   };
 
-  explicit Hp(alloc::Mode mode = alloc::Mode::kHeap) : pool_(mode) {}
-  Hp(const Hp&) = delete;
-  Hp& operator=(const Hp&) = delete;
+  explicit Hp(alloc::Mode mode = alloc::Mode::kHeap) : Base(mode) {}
 
   ~Hp() {
     Node* r = orphans_.load(std::memory_order_acquire);
     while (r != nullptr) {
       Node* next = r->reg_next;
-      pool_.destroy(r);
+      this->destroy(r);
       r = next;
     }
-    // Crashed leases nobody reaped, and attributed leaks: the domain
-    // owns both, so even a faulted run tears down ASan-clean.
-    for (const auto& lease : crashed_)
-      for (Node* n : lease.retired) pool_.destroy(n);
-    for (Node* n : leaked_) pool_.destroy(n);
   }
 
   Handle make_handle() {
-    for (int i = 0; i < kMaxHandles; ++i) {
-      bool expected = false;
-      if (slots_[i].active.compare_exchange_strong(
-              expected, true, std::memory_order_acq_rel)) {
-        // Re-lease: the departed owner's release-store of `active`
-        // ordered its cell clears before this CAS, so the cells are
-        // null; re-null defensively so a fresh lease never starts with
-        // stale protection even if the slot was never used before.
-        for (auto& h : slots_[i].hp)
-          h.store(nullptr, std::memory_order_relaxed);
-        return Handle(this, i);
-      }
-    }
-    PRAGMALIST_CHECK(false, "reclaim::Hp: more than 256 live handles");
-    __builtin_unreachable();
-  }
-
-  void track(Node*) { allocated_.fetch_add(1, std::memory_order_relaxed); }
-
-  std::size_t live_nodes() const {
-    return allocated_.load(std::memory_order_relaxed) -
-           freed_.load(std::memory_order_relaxed);
-  }
-
-  /// Retired-not-yet-freed nodes: every handle's retire bag plus the
-  /// orphan stack. The soak harness samples this as the limbo-depth
-  /// series.
-  std::size_t limbo_nodes() const {
-    return limbo_.load(std::memory_order_relaxed);
+    const int i = Base::lease(slots_);
+    // Re-lease: the departed owner's release-store of `active` ordered
+    // its cell clears before the lease CAS, so the cells are null;
+    // re-null defensively so a fresh lease never starts with stale
+    // protection even if the slot was never used before.
+    for (auto& h : slots_[i].hp) h.store(nullptr, std::memory_order_relaxed);
+    return Handle(this, i);
   }
 
   /// Supervisor recovery: release every crashed lease. Hands the
@@ -261,58 +199,37 @@ class Hp {
   /// the number of leases reaped. Safe to call from any thread while
   /// workers run.
   std::size_t reap_crashed() {
-    std::vector<CrashedLease> leases;
-    {
-      std::lock_guard<std::mutex> lock(crashed_mu_);
-      leases.swap(crashed_);
-    }
-    if (leases.empty()) return 0;
-    std::size_t parked = 0;
-    for (auto& lease : leases) {
-      parked += lease.retired.size();
-      // Same order as a clean departure: orphan the bag first, clear
-      // the cells, then the release-store of `active` publishes the
-      // nulls to the next make_handle.
-      for (Node* n : lease.retired) core::push_intrusive(orphans_, n);
-      for (auto& h : slots_[lease.slot].hp)
-        h.store(nullptr, std::memory_order_release);
-      slots_[lease.slot].active.store(false, std::memory_order_release);
-    }
-    parked_limbo_.fetch_sub(parked, std::memory_order_relaxed);
-    return leases.size();
+    return Base::reap([this](CrashedLease& lease) {
+      // Same order as a clean departure: orphan the bag first, then
+      // release the slot.
+      for (Node* n : lease.nodes) core::push_intrusive(orphans_, n);
+      release_slot(lease.slot);
+    });
   }
 
-  /// Blast-radius snapshot (see faults::BlastStats): leaked_cells
-  /// counts the non-null hazard cells of crashed leases -- the exact
-  /// number of nodes a scan may have to quarantine because of the
-  /// crashes. No horizon_lag: HP has no epoch to stall.
+  /// Blast-radius snapshot (see faults::BlastStats): the shared fault
+  /// ledgers plus leaked_cells, the non-null hazard cells of crashed
+  /// leases -- the exact number of nodes a scan may have to quarantine
+  /// because of the crashes. No horizon_lag: HP has no epoch to stall.
   faults::BlastStats blast_stats() const {
-    faults::BlastStats b;
-    b.leaked_nodes = leaked_count_.load(std::memory_order_relaxed);
-    b.parked_limbo = parked_limbo_.load(std::memory_order_relaxed);
-    b.leaked_slabs = leaked_slab_count();
-    std::lock_guard<std::mutex> lock(crashed_mu_);
-    b.crashed_slots = crashed_.size();
-    for (const auto& lease : crashed_)
-      for (const auto& cell : slots_[lease.slot].hp)
-        if (cell.load(std::memory_order_acquire) != nullptr)
-          ++b.leaked_cells;
-    return b;
+    return Base::blast_stats(
+        [this](const CrashedLease& lease, faults::BlastStats& b) {
+          for (const auto& cell : slots_[lease.slot].hp)
+            if (cell.load(std::memory_order_acquire) != nullptr)
+              ++b.leaked_cells;
+        });
   }
-
-  /// Domain-level allocation (sentinels, teardown paths).
-  template <typename... Args>
-  Node* construct(Args&&... args) {
-    return pool_.construct(std::forward<Args>(args)...);
-  }
-  void destroy(Node* n) { pool_.destroy(n); }
-
-  alloc::Mode alloc_mode() const { return pool_.mode(); }
-  alloc::SlabStats slab_stats() const { return pool_.stats(); }
-  alloc::SlabPool<Node>& pool() { return pool_; }
 
  private:
   friend class Handle;
+
+  /// Clear every cell of `slot`, then give it up: the release-store of
+  /// `active` publishes the nulls to the next make_handle, so no stale
+  /// protection leaks from the previous owner into the new lease.
+  void release_slot(int slot) {
+    for (auto& h : slots_[slot].hp) h.store(nullptr, std::memory_order_release);
+    slots_[slot].active.store(false, std::memory_order_release);
+  }
 
   /// Free every retiree no hazard pointer currently protects, into the
   /// scanning handle's slot cache. Adopts the orphan stack first
@@ -345,70 +262,11 @@ class Hp {
       }
     }
     retired = std::move(keep);
-    freed_.fetch_add(freed, std::memory_order_relaxed);
-    limbo_.fetch_sub(freed, std::memory_order_relaxed);
+    this->note_freed(freed);
   }
 
-  void push_orphan(Node* n) {
-    limbo_.fetch_add(1, std::memory_order_relaxed);
-    core::push_intrusive(orphans_, n);
-  }
-
-  /// One abandoned handle: the slot it still occupies (cells possibly
-  /// still published) and its parked retire bag.
-  struct CrashedLease {
-    int slot;
-    std::vector<Node*> retired;
-  };
-
-  /// Park an abandoned handle's retire bag and record the lease. The
-  /// bag stays counted in limbo_ (retired, not freed); the slot stays
-  /// active so its cells keep quarantining until reap_crashed().
-  void park_crashed(int slot, std::vector<Node*>& retired) {
-    CrashedLease lease;
-    lease.slot = slot;
-    lease.retired = std::move(retired);
-    retired.clear();
-    std::lock_guard<std::mutex> lock(crashed_mu_);
-    parked_limbo_.fetch_add(lease.retired.size(),
-                            std::memory_order_relaxed);
-    crashed_.push_back(std::move(lease));
-  }
-
-  /// Attribute a kRetireSkipped leak: the node stays allocated (it is
-  /// outside limbo and the orphan stack) and is freed at teardown.
-  void leak_node(Node* n) {
-    std::lock_guard<std::mutex> lock(leaked_mu_);
-    leaked_.push_back(n);
-    leaked_count_.store(leaked_.size(), std::memory_order_relaxed);
-  }
-
-  /// Slab-leak attribution: how many distinct slabs are pinned live by
-  /// kRetireSkipped leaks. Zero in heap mode (no slabs to pin).
-  std::size_t leaked_slab_count() const {
-    if (pool_.mode() != alloc::Mode::kSlab) return 0;
-    std::lock_guard<std::mutex> lock(leaked_mu_);
-    std::vector<const void*> slabs;
-    for (Node* n : leaked_) {
-      const void* s = pool_.slab_of(n);
-      if (std::find(slabs.begin(), slabs.end(), s) == slabs.end())
-        slabs.push_back(s);
-    }
-    return slabs.size();
-  }
-
-  alloc::SlabPool<Node> pool_;  // first: every member above drains into it
   Slot slots_[kMaxHandles];
   std::atomic<Node*> orphans_{nullptr};
-  std::atomic<std::size_t> allocated_{0};
-  std::atomic<std::size_t> freed_{0};
-  std::atomic<std::size_t> limbo_{0};
-  mutable std::mutex crashed_mu_;
-  std::vector<CrashedLease> crashed_;  // guarded by crashed_mu_
-  std::atomic<std::size_t> parked_limbo_{0};
-  mutable std::mutex leaked_mu_;
-  std::vector<Node*> leaked_;  // guarded by leaked_mu_
-  std::atomic<std::size_t> leaked_count_{0};
 };
 
 }  // namespace pragmalist::reclaim

@@ -3,7 +3,18 @@
 // Every policy is a class template over the node type and exposes the
 // same duck-typed surface, so the list engines can be parameterized on
 // a `template <typename> class ReclaimPolicy` and select code paths
-// with `if constexpr` on the policy's capability constants:
+// with `if constexpr` on the policy's capability constants. The
+// bookkeeping (pool, node counters, fault ledgers, slot leasing, the
+// handle's slot cache) is one core, domain.hpp; each policy adds only
+// its protocol:
+//
+//   Arena -- the registry that frees every tracked node at teardown.
+//   Ebr   -- epoch pin, three rotating limbo bags, adaptive collect
+//            cadence, the orphan pool; blast_stats() adds horizon_lag.
+//   Hp    -- hazard cells, scan, the orphan stack, cursor_owner;
+//            blast_stats() adds leaked_cells.
+//
+// The capability constants:
 //
 //   static constexpr bool kStableAddresses;
 //       Nodes are never freed (or reused) while the list is alive, so
@@ -54,14 +65,16 @@
 //                                     // departure protocol, possibly
 //                                     // with a guard/cell still held;
 //                                     // the handle is dead afterwards
-// and the reclaiming policies add Handle::leak(Node*) (a
-// retire-skipped node the domain attributes). Every domain has
+// and Handle::leak(Node*) (a retire-skipped node the domain
+// attributes; deleted on the arena, whose registry already owns it).
+// Every domain has
 // reap_crashed() / blast_stats() for supervisor recovery and the
 // blast-radius metrics. Engines expose their domain through one
 // `Reclaim& domain() const` accessor, and the catalog adapter reads
 // live_nodes / limbo_nodes / reap_crashed / blast_stats off it with
-// no policy branch. Arena's abandon is a no-op and its reap/blast
-// answers are 0 / all-zero -- it is fault-oblivious by construction.
+// no policy branch. Arena's abandon only checks the kind and its
+// reap/blast answers are 0 / all-zero -- it is fault-oblivious by
+// construction.
 //
 // Each policy header states its progress guarantee, worst-case memory
 // bound, and the traversal capabilities it demands of the engine.
@@ -82,6 +95,7 @@
 #pragma once
 
 #include "src/reclaim/arena.hpp"        // IWYU pragma: export
+#include "src/reclaim/domain.hpp"       // IWYU pragma: export
 #include "src/reclaim/ebr.hpp"          // IWYU pragma: export
 #include "src/reclaim/hp.hpp"           // IWYU pragma: export
 #include "src/reclaim/maybe_owned.hpp"  // IWYU pragma: export

@@ -164,19 +164,40 @@ TEST(EbrFaults, DepartWithoutReleaseParksLimboUnadoptable) {
   EXPECT_EQ(d.limbo_nodes(), 0u);
 }
 
-// A reaped slot is re-leasable: the crashed worker's replacement gets
-// a working lease (regression guard for the slot-release ordering in
-// reap_crashed).
-TEST(EbrFaults, ReapedSlotCanBeReLeased) {
-  reclaim::Ebr<CountingNode> d;
-  std::vector<reclaim::Ebr<CountingNode>::Handle> handles;
-  for (int i = 0; i < reclaim::Ebr<CountingNode>::kMaxHandles - 1; ++i)
+// --- re-lease after a reap (both reclaiming domains) ---------------
+
+template <typename D>
+class LeaseFaults : public ::testing::Test {};
+using LeaseDomains =
+    ::testing::Types<reclaim::Ebr<CountingNode>, reclaim::Hp<CountingNode>>;
+TYPED_TEST_SUITE(LeaseFaults, LeaseDomains);
+
+// A reaped slot is re-leasable: with every other slot taken, the
+// crashed worker's replacement must get the victim's slot (regression
+// guard for the slot-release ordering in reap_crashed), and whatever
+// the dead lease protected -- EBR's pin, HP's published cell -- must
+// no longer hold back a retire + collect of the node it covered.
+TYPED_TEST(LeaseFaults, ReapedSlotCanBeReLeased) {
+  using Domain = TypeParam;
+  std::atomic<int> freed{0};
+  Domain d;
+  std::vector<typename Domain::Handle> handles;
+  for (int i = 0; i < Domain::kMaxHandles - 1; ++i)
     handles.push_back(d.make_handle());
   auto victim = d.make_handle();  // the last free slot
+  auto* held = new CountingNode(&freed);
+  d.track(held);
+  if constexpr (Domain::kHazards) victim.protect(0, held);
   victim.abandon(FaultKind::kAbortWithGuardHeld);
   EXPECT_EQ(d.reap_crashed(), 1u);
   auto replacement = d.make_handle();  // would abort if the slot leaked
-  { auto g = replacement.guard(); }
+  {
+    [[maybe_unused]] auto g = replacement.guard();
+    replacement.retire(held);
+  }
+  for (int i = 0; i < 3; ++i) replacement.collect();
+  EXPECT_EQ(freed.load(), 1);
+  EXPECT_EQ(d.limbo_nodes(), 0u);
 }
 
 // --- HP blast radius (hand-computed ledgers) ------------------------

@@ -13,6 +13,14 @@
 //                   pointers and CAS never suffers ABA. The
 //                   hazard-pointer and epoch baselines exist precisely
 //                   to price this choice against real reclamation.
+//  * walk        -- the paper's traversal rules, once for both list
+//                   engines and all three reclaimers: the hazard-pointer
+//                   steps compile only under an HP handle, and where a
+//                   pass starts, decays and resumes comes from the
+//                   engine's hooks. retire_run is its purge-before-
+//                   retire companion for every detached run.
+//  * scan / quiescent -- range scans per reclaimer and the quiescent
+//                   snapshot, size and chain-invariant walkers.
 #pragma once
 
 #include <atomic>
@@ -181,26 +189,9 @@ class AllocRegistry {
   std::atomic<std::size_t> count_{0};
 };
 
-/// The anchored-validation hazard-pointer traversal shared by the list
-/// families (used whenever the reclamation policy sets kHazards).
-///
-/// Plain hazard pointers are incompatible with traversals that step
-/// over marked nodes (Michael, TPDS'04): a marked node's next pointer
-/// is frozen, so re-reading it can never reveal that its successor was
-/// swept out and freed. The walk instead revalidates against the *run
-/// anchor*: `prev` is the last live node (slot kAnchor) and `left_next`
-/// the first node of the dead run hanging off it. Any sweep that
-/// detaches -- and hence retires -- any node of that run must CAS
-/// `prev->next` away from `left_next` (marked nexts are frozen; the
-/// anchor cell is the run's only mutable attachment point). So after
-/// publishing a hazard on the next node, one re-read of `prev->next`
-/// suffices: still `left_next`-and-unmarked means nothing in the run
-/// was retired before the hazard became visible; anything else
-/// restarts. For the address compare to be meaningful, `left_next`
-/// itself must stay hazard-protected for the whole run (slot kRun):
-/// an unprotected run head could be freed and its address recycled by
-/// a fresh insert, making both the anchor re-read and the final sweep
-/// CAS succeed against a different, live node (ABA).
+/// Hazard-slot roles and the cursor-cell protocol the list engines
+/// share under reclaim::Hp; the traversal that uses them is core::walk
+/// below.
 namespace hazard {
 
 // Slot roles (reclaim::Hp::kSlots >= 4):
@@ -248,126 +239,175 @@ void publish_cursor(ReclaimHandle& rh, const void* owner, Node* n) {
   }
 }
 
+}  // namespace hazard
+
+/// Purge-before-retire for a run [first, last) that the caller's CAS
+/// just detached: after that CAS the frozen chain is reachable only by
+/// threads that entered it earlier, and only the detacher may retire
+/// it. Each node leaves the hint index first -- no slot may name it
+/// once retire can free it (hint_index.hpp). `leak_victim` (fault
+/// injection, kRetireSkipped) goes to the domain's leak ledger instead
+/// of limbo. The arena retires nothing, so it skips the purge too.
+template <typename Node, typename Hints, typename ReclaimHandle>
+void retire_run(Hints& hints, ReclaimHandle& rh, Node* first, Node* last,
+                Node* leak_victim = nullptr) {
+  if constexpr (ReclaimHandle::kReclaims) {
+    for (Node* n = first; n != last;) {
+      Node* next = n->next.load().ptr;  // read first: retire may free n
+      hints.purge(n);
+      if (n == leak_victim)
+        rh.leak(n);
+      else
+        rh.retire(n);
+      n = next;
+    }
+  }
+}
+
 template <typename Node>
 struct WalkPos {
-  Node* prev;  // protected via kAnchor, prev->next observed == cur
-               // (kMutate) or == some run reaching cur (read-only)
-  Node* cur;   // protected via kWalk; first live node with key >=
-               // target, or nullptr
+  Node* prev;  // last live node passed (HP: in kAnchor); prev->next
+               // observed == cur (kMutate) or == some run reaching cur
+               // (read-only)
+  Node* cur;   // first live node with key >= target, or nullptr (HP: in
+               // kWalk)
 };
 
-/// Walk toward `key` from start_node(). kMutate: guarantee physical
-/// adjacency prev->next == cur on return, sweeping the dead run with
-/// one CAS if needed and invoking on_swept(prev, first, last) on
-/// success (the caller retires the detached [first..last) -- purging
-/// any hint-index slots first -- and refreshes back hints there; the
-/// draconic inline unlink routes through the same hook with a
-/// one-node run, so the caller's purge-before-retire rule covers it
-/// too). Read-only (!kMutate): never CAS; cur may sit behind a dead
-/// run. on_dead_start() runs when the start node died under the walk
-/// (the caller drops its cursor); start_node() is then expected to
-/// fall back to the head.
+/// The paper's traversal, written once for both list engines and every
+/// reclaimer: walk through marked nodes, swing a dead run out with one
+/// CAS right before the position is used, and retry a lost position
+/// from close by instead of from the head.
 ///
-/// Bounded restart: a lost anchor (failed revalidation or sweep CAS)
-/// no longer abandons the whole walk. `prev` is still kAnchor-
-/// protected, so if it is still unmarked the next pass resumes from
-/// it -- the validated prefix of the key space is never re-walked,
-/// which is what turns an HP read's worst case from "restart from the
-/// head unboundedly" into "local retry at the contention point". Only
-/// a *dead* resume point decays to start_node() (cursor/hint/head).
-/// Every lost anchor bumps *restarts when the caller passes a counter
-/// (surfaced as OpCounters::restarts).
+/// kMutate: guarantee physical adjacency prev->next == cur on return,
+/// sweeping the dead run [first, last) with one CAS if needed and then
+/// calling on_swept(prev, first, last); the caller retires the run
+/// (retire_run) and refreshes back hints there. kDraconic never steps
+/// over a dead node: it unlinks each one on sight, as a one-node run
+/// through the same hook, and a lost unlink CAS is a lost position.
+/// Read-only (!kMutate): never CAS; cur may sit behind a dead run.
+///
+/// Where each pass starts is the caller's rule, never the walk's:
+///   * start_node() -- the first pass (head, cursor or hint);
+///   * on_dead_start(dead) -- a replacement for a start found marked.
+///     Returning `dead` itself walks on from it: sound only without
+///     hazards and read-only, where the dead node's frozen successor
+///     chain still leads forward;
+///   * resume(prev) -- the start after a lost position (a failed anchor
+///     revalidation or CAS; each bumps *restarts when a counter is
+///     passed). Returning `prev` resumes there, so the validated
+///     prefix of the key space is not re-walked; should `prev` have
+///     died meanwhile the pass decays to start_node().
+///
+/// Under a hazard-pointer handle (ReclaimHandle::kHazards) every step
+/// also runs the anchored-validation protocol; under the arena and EBR
+/// it compiles away (arena addresses are stable; the caller's epoch pin
+/// covers the whole operation). Plain hazard pointers are incompatible
+/// with traversals that step over marked nodes (Michael, TPDS'04): a
+/// marked node's next pointer is frozen, so re-reading it can never
+/// reveal that its successor was swept out and freed. The walk instead
+/// revalidates against the *run anchor*: `prev` is the last live node
+/// (slot kAnchor) and `left_next` the first node of the dead run
+/// hanging off it. Any sweep that detaches -- and hence retires -- any
+/// node of that run must CAS `prev->next` away from `left_next` (marked
+/// nexts are frozen; the anchor cell is the run's only mutable
+/// attachment point). So after publishing a hazard on the next node,
+/// one re-read of `prev->next` suffices: still `left_next`-and-unmarked
+/// means nothing in the run was retired before the hazard became
+/// visible; anything else is a lost position. For the address compare
+/// to be meaningful, `left_next` itself must stay hazard-protected for
+/// the whole run (slot kRun): an unprotected run head could be freed
+/// and its address recycled by a fresh insert, making both the anchor
+/// re-read and the final sweep CAS succeed against a different, live
+/// node (ABA). A resumed `prev` is still in kAnchor, which is what
+/// turns an HP read's worst case from "restart from the head
+/// unboundedly" into "local retry at the contention point".
 template <Traversal kTraversal, Backoff kBackoff, bool kMutate,
           typename Node, typename ReclaimHandle, typename StartFn,
-          typename DeadStartFn, typename SweptFn>
-WalkPos<Node> anchored_walk(ReclaimHandle& rh, long key, StartFn&& start_node,
-                            DeadStartFn&& on_dead_start, SweptFn&& on_swept,
-                            long* restarts = nullptr) {
+          typename DeadStartFn, typename ResumeFn, typename SweptFn>
+WalkPos<Node> walk(ReclaimHandle& rh, long key, StartFn&& start_node,
+                   DeadStartFn&& on_dead_start, ResumeFn&& resume,
+                   SweptFn&& on_swept, long* restarts = nullptr) {
+  constexpr bool kHazards = ReclaimHandle::kHazards;
   Backoffer bo;
-  Node* resume = nullptr;  // last validated anchor, still in kAnchor
+  Node* prev = start_node();
+  bool resumed = false;  // prev is the last pass's anchor (HP: in kAnchor)
   for (;;) {
-    const bool resumed = resume != nullptr;
-    Node* prev;
-    if (resumed) {
-      prev = resume;  // kAnchor already covers it
-      resume = nullptr;
-    } else {
-      prev = start_node();  // head, or a cursor/hint covered elsewhere
-      rh.protect(kAnchor, prev);
+    if constexpr (kHazards) {
+      // A fresh start (head, or a cursor/hint its own slot covered so
+      // far) moves into kAnchor; a resumed one is there already.
+      if (!resumed) rh.protect(hazard::kAnchor, prev);
     }
     const auto pv = prev->next.load();
     if (pv.marked) {
-      if (resumed) continue;  // dead resume anchor: decay to start_node
-      on_dead_start();  // cursor start died between its check and here
-      continue;
+      Node* alt = resumed ? start_node() : on_dead_start(prev);
+      if (alt != prev) {
+        prev = alt;
+        resumed = false;
+        continue;
+      }
     }
-    Node* left_next = pv.ptr;
+    Node* left_next = pv.ptr;  // the value a sweep CASes against at prev
     Node* cur = left_next;
-    bool restart = false;
+    bool lost = false;
     while (cur != nullptr) {
-      rh.protect(kWalk, cur);
-      {
+      if constexpr (kHazards) {
+        rh.protect(hazard::kWalk, cur);
         // Anchor revalidation: run still attached => cur not retired
         // before the hazard above became visible.
         const auto av = prev->next.load();
         if (av.marked || av.ptr != left_next) {
-          restart = true;
+          lost = true;
           break;
         }
       }
       const auto cv = cur->next.load();
       if (cv.marked) {
         if constexpr (kTraversal == Traversal::kDraconic) {
-          // Never step over a dead node: unlink it now or start over.
-          // left_next == cur here, so the CAS expectation is covered
-          // by the kWalk hazard. The detached one-node run goes
-          // through on_swept like any other, so the caller's
-          // purge-before-retire discipline holds here too.
+          // Never step over a dead node: unlink it now or lose the
+          // position. Under HP left_next == cur here, so the CAS
+          // expectation is covered by the kWalk hazard.
           if (prev->next.cas_clean(cur, cv.ptr)) {
             on_swept(prev, cur, cv.ptr);
             left_next = cv.ptr;
             cur = cv.ptr;
             continue;
           }
-          restart = true;
+          lost = true;
           break;
         } else {
-          // Entering a run: pin its head for the run's duration (see
-          // file comment -- the anchor compare and the sweep CAS are
-          // ABA-unsafe otherwise). Gapless: kWalk still covers
-          // cur == left_next at this point.
-          if (cur == left_next) rh.protect(kRun, cur);
-          cur = cv.ptr;  // pragmatic: walk through; validated at the top
+          // Entering a run: pin its head for the run's duration (the
+          // anchor compare and the sweep CAS are ABA-unsafe otherwise).
+          // Gapless: kWalk still covers cur == left_next here.
+          if constexpr (kHazards) {
+            if (cur == left_next) rh.protect(hazard::kRun, cur);
+          }
+          cur = cv.ptr;  // pragmatic: walk through it
           continue;
         }
       }
       if (cur->key >= key) break;
       prev = cur;
-      rh.protect(kAnchor, cur);  // kWalk still covers cur
+      if constexpr (kHazards) {
+        rh.protect(hazard::kAnchor, cur);  // kWalk still covers cur
+      }
       left_next = cv.ptr;
       cur = cv.ptr;
     }
-    if (!restart) {
-      if (left_next == cur) return {prev, cur};
-      if constexpr (!kMutate) {
+    if (!lost) {
+      if (!kMutate || left_next == cur) return {prev, cur};
+      // Swing the whole dead run [left_next..cur) out in one CAS.
+      if (prev->next.cas_clean(left_next, cur)) {
+        on_swept(prev, left_next, cur);
         return {prev, cur};
-      } else {
-        // Swing the whole dead run [left_next..cur) out in one CAS.
-        if (prev->next.cas_clean(left_next, cur)) {
-          on_swept(prev, left_next, cur);
-          return {prev, cur};
-        }
       }
     }
-    // Lost the anchor (revalidation or sweep CAS). prev stays kAnchor-
-    // protected, so resume there next pass if it is still live.
     if (restarts != nullptr) ++*restarts;
-    resume = prev;
     if constexpr (kBackoff == Backoff::kExponential) bo.pause();
+    Node* next = resume(prev);
+    resumed = next == prev;
+    prev = next;
   }
 }
-
-}  // namespace hazard
 
 /// Traversal-start selection shared by the list families. Two
 /// independent shortcut mechanisms can propose a start anchor for the
@@ -405,8 +445,8 @@ Node* tighter(Node* head, Node* cursor, Node* hint) {
 ///     scan (the caller's guard): nothing retired after the pin can be
 ///     freed until the scan unpins. Long scans therefore hold the
 ///     reclamation horizon -- the cost bench_grid --scan-frac prices against HP.
-///   * HP     -- hazard_scan: the anchored-validation walk from
-///     anchored_walk(), generalized to emit along the way. Per-step
+///   * HP     -- hazard_scan: the anchored-validation protocol of
+///     core::walk, generalized to emit along the way. Per-step
 ///     publish + anchor revalidation, restart from the head on a lost
 ///     anchor, resuming *after* the last key already observed (the
 ///     restart invariant: no key is emitted twice, and each key of the
@@ -440,7 +480,7 @@ long plain_scan(const Node* head, long from, long hi, long limit,
 }
 
 /// The hazard-pointer scan protocol. Walks with the anchored-validation
-/// slot discipline of hazard::anchored_walk (kAnchor / kWalk / kRun;
+/// slot discipline of core::walk (kAnchor / kWalk / kRun;
 /// the persistent kCursor cell is never touched, so a scan cannot
 /// disturb the owning engine's cursor). On a failed anchor
 /// revalidation the walk resumes from the last validated anchor while
@@ -499,7 +539,7 @@ long hazard_scan(ReclaimHandle& rh, Node* head, long from, long hi,
       const auto cv = cur->next.load();
       if (cv.marked) {
         // Entering a dead run: pin its head for the run's duration
-        // (same ABA argument as anchored_walk).
+        // (same ABA argument as core::walk).
         if (cur == left_next) rh.protect(hazard::kRun, cur);
         cur = cv.ptr;
         continue;

@@ -35,13 +35,15 @@
 //     pin; traversal is unchanged (the classic result that Harris-style
 //     lists are safe under deferred reclamation) but cursors are
 //     disabled, because a node pointer held across an unpinned gap may
-//     be freed. reclaim::Hp runs the *anchored-validation* traversal
-//     below; cursors survive via a dedicated hazard slot.
+//     be freed. reclaim::Hp adds the *anchored-validation* steps to
+//     the same walk; cursors survive via a dedicated hazard slot.
 //
-// Hazard traversal is the anchored-validation walk shared via
-// core::hazard::anchored_walk (see list_base.hpp for the safety
-// argument). The pragmatic variants keep their no-CAS contains()
-// under HP -- they pay publish+revalidate per step instead.
+// Every search and contains, under every reclaimer, is one call to
+// core::walk (list_base.hpp, which also holds the hazard safety
+// argument); the hazard steps compile only under reclaim::Hp, and the
+// engine's hooks in search() state where each cell starts, decays and
+// resumes. The pragmatic variants keep their no-CAS contains() under
+// HP -- they pay publish+revalidate per step instead.
 //
 // Back pointers are an *arena artifact*: one is never cleaned when its
 // target dies, so under a reclaiming policy it may name long-freed
@@ -125,10 +127,11 @@ class ListFamily {
   /// Progress traits, asserted across the grid in variants.hpp (see
   /// the matrix in iset.hpp). The mild variants answer contains()
   /// without ever issuing a CAS; on top of that, the arena/EBR walk is
-  /// one forward pass -- no restart path exists in do_contains's plain
-  /// branch at all. Draconic readers help unlink (CAS + restart on a
-  /// lost CAS) by design; HP readers are CAS-free but bounded-restart
-  /// (anchored_walk resumes from the last validated anchor).
+  /// one forward pass -- a read-only walk without hazards has no way to
+  /// lose its position, so it never restarts. Draconic readers help
+  /// unlink (CAS + restart on a lost CAS) by design; HP readers are
+  /// CAS-free but bounded-restart (core::walk resumes from the last
+  /// validated anchor).
   static constexpr bool kContainsCasFree = kTraversal == Traversal::kMild;
   static constexpr bool kContainsRestartFree =
       kContainsCasFree && !ReclaimPolicy<Node>::kHazards;
@@ -288,10 +291,7 @@ class ListFamily {
 
   static constexpr long kSentinelKey = std::numeric_limits<long>::min();
 
-  struct Pos {
-    Node* prev;  // live at observation, prev->next observed == cur
-    Node* cur;   // first live node with key >= target, or nullptr
-  };
+  using Pos = WalkPos<Node>;
 
   /// Doubly variants: walk back pointers from `n` until a live node
   /// (keys strictly decrease along the chain, so this terminates at the
@@ -376,115 +376,54 @@ class ListFamily {
     }
   }
 
-  /// Retire every node of the detached run [first, last): after the
-  /// sweep CAS succeeded the frozen chain is reachable only by threads
-  /// that entered it earlier, and only the detacher may retire it.
-  void retire_run(Handle& h, Node* first, Node* last) {
-    if constexpr (Reclaim::kReclaims) {
-      Node* n = first;
-      while (n != last) {
-        Node* next = n->next.load().ptr;  // read before retire: a scan
-        hints_.purge(n);  // no slot may name n once retire can free it
-        h.rh_->retire(n);                  // may free n immediately
-        n = next;
-      }
-    }
-  }
-
+  /// Locate `key` with core::walk, under every reclaimer. kMutate:
+  /// guarantee physical adjacency prev->next == cur at some observed
+  /// instant (required before an insert or unlink CAS), sweeping and
+  /// retiring the dead run in between. Read-only: the mild contains.
+  /// Under HP, prev returns in the anchor slot and cur in the walk
+  /// slot; the caller may dereference both until its next search.
+  ///
+  /// The hooks are the engine's rules per cell. HP never follows a
+  /// back pointer: a dead start drops the cursor and re-picks cursor,
+  /// hint or head, and a lost position resumes at the still-protected
+  /// prev. On arena/EBR a dead start goes to the head (doubly:
+  /// recover() hops back), except the read-only walk, which stays one
+  /// forward pass and walks on from it; a lost position resumes at
+  /// prev -- dereferenceable by construction (arena: stable addresses;
+  /// EBR: the op's pin) -- via recover() for the doubly variants, while
+  /// draconic keeps its from-the-head discipline.
+  template <bool kMutate = true>
   Pos search(Handle& h, long key) {
-    if constexpr (kHazards)
-      return search_hazard(h, key);
-    else
-      return search_plain(h, key);
-  }
-
-  /// Locate `key` and guarantee physical adjacency prev->next == cur at
-  /// some observed instant (required before an insert or unlink CAS).
-  /// Arena/EBR flavor: no per-step protection (arena: addresses are
-  /// stable; EBR: the caller's epoch pin covers the whole operation).
-  Pos search_plain(Handle& h, long key) {
-    Backoffer bo;
-    Node* start = start_node(h, key);
-    for (;;) {
-      if constexpr (kBackOn) start = recover(start);
-      Node* prev = start;
-      const auto pv = prev->next.load();
-      if (pv.marked) {  // start died between its check and here
-        if constexpr (!kBackOn) start = head_;  // doubly: recover() hops
-        continue;
-      }
-      Node* left_next = pv.ptr;  // the value we will CAS against at prev
-      Node* cur = left_next;
-      bool restart = false;
-      while (cur != nullptr) {
-        const auto cv = cur->next.load();
-        if (cv.marked) {
-          if constexpr (kTraversal == Traversal::kDraconic) {
-            // Never step over a dead node: unlink it now or start over.
-            if (prev->next.cas_clean(cur, cv.ptr)) {
-              if constexpr (Reclaim::kReclaims) {
-                hints_.purge(cur);
-                h.rh_->retire(cur);
-              }
-              left_next = cv.ptr;
-              cur = cv.ptr;
-              continue;
-            }
-            restart = true;
-            break;
-          } else {
-            cur = cv.ptr;  // pragmatic: just walk through it
-            continue;
-          }
-        }
-        if (cur->key >= key) break;
-        prev = cur;
-        left_next = cv.ptr;
-        cur = cv.ptr;
-      }
-      if (!restart) {
-        if (left_next == cur) return {prev, cur};
-        // Swing the whole dead run [left_next..cur) out in one CAS.
-        if (prev->next.cas_clean(left_next, cur)) {
-          refresh_back(cur, prev);
-          retire_run(h, left_next, cur);
-          return {prev, cur};
-        }
-        restart = true;
-      }
-      // Lost the position (helping CAS or sweep CAS). The mild
-      // variants resume from prev -- dereferenceable here by
-      // construction (arena: stable addresses; EBR: the op's pin) -- so
-      // the validated prefix is never re-walked: the doubly variants
-      // let recover() hop back if prev itself died, the singly ones
-      // fall back to start_node(). Draconic keeps its from-the-head
-      // discipline.
-      ++h.ctr_.restarts;
-      if constexpr (kBackoff == Backoff::kExponential) bo.pause();
-      if constexpr (kTraversal == Traversal::kDraconic)
-        start = head_;
-      else if constexpr (kBackOn)
-        start = prev;
-      else
-        start = !prev->next.load().marked ? prev : start_node(h, key);
-    }
-  }
-
-  /// Hazard-pointer flavor of search: the shared anchored-validation
-  /// walk. Returns with prev held in the anchor slot and cur in the
-  /// walk slot; the caller may dereference both until its next search.
-  /// No back pointer is ever followed; a restart goes to the cursor,
-  /// hint or head.
-  Pos search_hazard(Handle& h, long key) {
-    const auto w = hazard::anchored_walk<kTraversal, kBackoff, true, Node>(
+    return walk<kTraversal, kBackoff, kMutate, Node>(
         *h.rh_, key, [&] { return start_node(h, key); },
-        [&] { drop_cursor(h); },
+        [&](Node* dead) -> Node* {
+          if constexpr (kHazards) {
+            drop_cursor(h);
+            return start_node(h, key);
+          } else if constexpr (!kMutate) {
+            return dead;
+          } else if constexpr (kBackOn) {
+            return recover(dead);
+          } else {
+            return head_;
+          }
+        },
+        [&](Node* prev) -> Node* {
+          if constexpr (kHazards) {
+            return prev;
+          } else if constexpr (kTraversal == Traversal::kDraconic) {
+            return head_;
+          } else if constexpr (kBackOn) {
+            return recover(prev);
+          } else {
+            return prev;
+          }
+        },
         [&](Node* prev, Node* first, Node* last) {
-          refresh_back(last, prev);  // last is walk-slot protected
-          retire_run(h, first, last);
+          refresh_back(last, prev);  // HP: last is walk-slot protected
+          retire_run(hints_, *h.rh_, first, last);
         },
         &h.ctr_.restarts);
-    return {w.prev, w.cur};
   }
 
   bool do_add(Handle& h, long key) {
@@ -569,10 +508,7 @@ class ListFamily {
     pin_succ(h, m.succ);
     if (p.prev->next.cas_clean(p.cur, m.succ)) {
       refresh_back(m.succ, p.prev);
-      if constexpr (Reclaim::kReclaims) {
-        hints_.purge(p.cur);
-        h.rh_->retire(p.cur);
-      }
+      retire_run(hints_, *h.rh_, p.cur, m.succ);
     } else {
       if constexpr (kTraversal == Traversal::kDraconic) search(h, key);
     }
@@ -626,12 +562,10 @@ class ListFamily {
     const Marked m = mark(p.cur);
     if (!m.won) return false;
     pin_succ(h, m.succ);
-    if (p.prev->next.cas_clean(p.cur, m.succ)) {
-      if constexpr (Reclaim::kReclaims) {
-        hints_.purge(p.cur);  // a leaked node is freed at teardown, but
-        h.rh_->leak(p.cur);   // it leaves the live chain now
-      }
-    }
+    // A leaked node is freed at teardown, but it leaves the live chain
+    // (and so the hint index) now.
+    if (p.prev->next.cas_clean(p.cur, m.succ))
+      retire_run(hints_, *h.rh_, p.cur, m.succ, /*leak_victim=*/p.cur);
     return true;
   }
 
@@ -641,26 +575,15 @@ class ListFamily {
       // Draconic readers help clean up (and pay the restarts for it).
       const Pos p = search(h, key);
       return p.cur != nullptr && p.cur->key == key;
-    } else if constexpr (kHazards) {
-      return contains_hazard(h, key);
     } else {
-      // The fast lane (iset.hpp matrix): one forward pass from the
-      // tighter of cursor/hint/head, no CAS, no restart path at all.
-      Node* prev = start_node(h, key);
-      Node* cur = prev->next.load().ptr;
-      while (cur != nullptr) {
-        const auto cv = cur->next.load();
-        if (cv.marked) {
-          cur = cv.ptr;
-          continue;
-        }
-        if (cur->key >= key) break;
-        prev = cur;
-        cur = cv.ptr;
-      }
-      update_cursor(h, prev);
-      maybe_publish(hints_, h.hint_tick_, head_, prev);
-      return cur != nullptr && cur->key == key;
+      // Read-only from the tighter of cursor/hint/head, never a CAS
+      // (iset.hpp matrix). Arena/EBR: one forward pass, no restart
+      // path; HP: every step pays the publish + anchor revalidation.
+      const Pos p = search</*kMutate=*/false>(h, key);
+      update_cursor(h, p.prev);
+      // HP: the anchor slot still covers p.prev
+      maybe_publish(hints_, h.hint_tick_, head_, p.prev);
+      return p.cur != nullptr && p.cur->key == key;
     }
   }
 
@@ -691,20 +614,6 @@ class ListFamily {
       return scan::plain_scan(g != nullptr ? g : head_, from, hi, limit,
                               sink);
     }
-  }
-
-  /// The mild contains under HP: still CAS-free (read-only walk), but
-  /// every step pays the publish + anchor-revalidation.
-  bool contains_hazard(Handle& h, long key) {
-    const auto w =
-        hazard::anchored_walk<Traversal::kMild, kBackoff, false, Node>(
-            *h.rh_, key, [&] { return start_node(h, key); },
-            [&] { drop_cursor(h); }, [](Node*, Node*, Node*) {},
-            &h.ctr_.restarts);
-    update_cursor(h, w.prev);
-    // kAnchor still covers w.prev
-    maybe_publish(hints_, h.hint_tick_, head_, w.prev);
-    return w.cur != nullptr && w.cur->key == key;
   }
 
   std::shared_ptr<Reclaim> domain_;

@@ -11,12 +11,12 @@
 //   * The head is a pure sentinel (anchor LONG_MIN, never holds keys,
 //     never marked). Every other node carries an *immutable anchor*
 //     stored in the field named `key` -- the name is load-bearing: it is
-//     what lets the engine reuse core::hazard::anchored_walk verbatim,
-//     which routes by comparing `cur->key` exactly as the singly family
-//     does. Anchors are strictly increasing along the physical chain at
-//     all times (splits insert between their source's and its
-//     successor's anchors; fresh nodes insert after the head, below the
-//     first anchor).
+//     what lets the engine route with core::walk, the singly family's
+//     traversal, which compares `cur->key` exactly as it does there.
+//     Anchors are strictly increasing along the physical chain at all
+//     times (splits insert between their source's and its successor's
+//     anchors; fresh nodes insert after the head, below the first
+//     anchor).
 //   * Keys live in K atomic cells, kept sorted, guarded by a per-node
 //     seqlock (`version`): even = unlocked, odd = writer inside. The
 //     version doubles as the writer mutex -- a writer CASes even->odd
@@ -62,9 +62,14 @@
 // *behind* a forward scanner; the resume point (`next_from`) makes
 // restarts emission-idempotent.
 //
-// Keys must lie in (LONG_MIN, LONG_MAX): LONG_MIN is the head anchor
-// and the empty-cell sentinel, LONG_MAX would overflow the key+1
-// routing probe. Scan *bounds* may still be the full long range.
+// One routing walk, one contains and one scan serve all three
+// reclaimers: the hazard steps sit under `if constexpr (kHazards)`,
+// and the walk's hooks carry the only rule that differs -- a dead
+// start decays to the head on arena/EBR, to the hint under HP.
+//
+// Every long is a key. LONG_MIN doubles as the head anchor and the
+// empty-cell sentinel, but neither is ever compared with a key; the
+// covering probe is key + 1 except at LONG_MAX (see cover()).
 #pragma once
 
 #include <cstdint>
@@ -75,7 +80,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/debug.hpp"
 #include "src/core/hint_index.hpp"
 #include "src/core/iset.hpp"
 #include "src/core/list_base.hpp"
@@ -89,7 +93,7 @@ class UnrolledFamilyList {
   static_assert(kK >= 4, "fat nodes need room to split and merge");
 
   struct Node {
-    long key;  // immutable anchor; named `key` for anchored_walk reuse
+    long key;  // immutable anchor; named `key` for core::walk
     MarkPtr<Node> next;
     Node* reg_next = nullptr;
     std::atomic<std::uint64_t> version{0};  // seqlock; odd = locked
@@ -235,7 +239,6 @@ class UnrolledFamilyList {
   bool validate(std::string* err) const {
     const std::size_t bound = domain_->live_nodes() + 1;
     const Node* prev = nullptr;
-    bool prev_marked = false;
     long last_live_key = kHeadAnchor;  // max key of the last unmarked node
     bool have_live = false;
     std::size_t steps = 0;
@@ -301,10 +304,8 @@ class UnrolledFamilyList {
         have_live = true;
       }
       prev = n;
-      prev_marked = v.marked;
       n = v.ptr;
     }
-    (void)prev_marked;
     return true;
   }
 
@@ -373,10 +374,7 @@ class UnrolledFamilyList {
   enum class RemoveMode { kNormal, kAbandon, kLeaky };
   enum class Cov { kOk, kLost };
 
-  struct Pos {
-    Node* prev;  // covering candidate: last unmarked anchor < probe
-    Node* cur;   // first unmarked anchor >= probe, physically adjacent
-  };
+  using Pos = WalkPos<Node>;
 
   /// Version-validated read of one node: (mark, count, cells) coherent
   /// as of some instant inside the call. The mark only changes under
@@ -445,117 +443,60 @@ class UnrolledFamilyList {
                      std::memory_order_release);
   }
 
-  void retire_one(Handle& h, Node* n) {
-    if constexpr (Reclaim::kReclaims) {
-      hints_.purge(n);  // no slot may name n once retire can free it
-      h.rh_->retire(n);
-    }
-  }
-
-  /// Retire every node of the detached run [first, last): after the
-  /// sweep CAS succeeded the frozen chain is reachable only by threads
-  /// that entered it earlier, and only the detacher may retire it.
-  void retire_run(Handle& h, Node* first, Node* last) {
-    if constexpr (Reclaim::kReclaims) {
-      Node* n = first;
-      while (n != last) {
-        Node* next = n->next.load().ptr;  // read before retire: a scan
-        hints_.purge(n);
-        h.rh_->retire(n);                 // may free n immediately
-        n = next;
-      }
-    }
-  }
-
-  /// Routing walk toward `probe` with adjacency (prev->next == cur at
-  /// an observed instant; the final dead run swept). Route with
-  /// probe = key + 1 and `prev` is the covering candidate: the last
-  /// unmarked node with anchor <= key.
+  /// Routing walk toward `probe`: prev is the last unmarked node with
+  /// anchor < probe, cur the first with anchor >= probe. kMutate: prev
+  /// and cur physically adjacent at an observed instant, the dead run
+  /// between them swept. Read-only (contains): no CAS; cur may sit
+  /// behind a dead run. Starts at a validated hint -- sound either way,
+  /// since the walk's endpoint does not depend on where below the probe
+  /// it began. A dead start was emptied and may have merged *left*, so
+  /// the covering node can sit behind it: never walk on from it --
+  /// arena/EBR decay to the head, HP to a freshly validated hint. A
+  /// lost sweep resumes at prev while it lives.
+  template <bool kMutate>
   Pos route(Handle& h, long probe) {
-    if constexpr (kHazards) {
-      const auto w =
-          hazard::anchored_walk<Traversal::kMild, Backoff::kNone, true, Node>(
-              *h.rh_, probe,
-              [&] {
-                Node* g = hint_start<kHazards>(hints_, *h.rh_, probe);
-                if (g == nullptr) return head_;
-                ++h.ctr_.hint_hits;
-                return g;  // validated anchor < probe, kAnchor-covered
-              },
-              [] {},
-              [&](Node*, Node* first, Node* last) {
-                retire_run(h, first, last);
-              },
-              &h.ctr_.restarts);
-      return {w.prev, w.cur};
-    } else {
-      Node* start = hint_start<kHazards>(hints_, *h.rh_, probe);
-      if (start == nullptr)
-        start = head_;
-      else
-        ++h.ctr_.hint_hits;
-      for (;;) {
-        Node* prev = start;
-        if (prev != head_ && prev->next.load().marked) {
-          // The start died since its validation. A marked fat node was
-          // emptied, possibly merged *left* -- the covering node may
-          // now sit behind it, so decay to the head, never walk on.
-          start = head_;
-          continue;
-        }
-        Node* left_next = prev->next.load().ptr;
-        Node* cur = left_next;
-        while (cur != nullptr) {
-          const auto cv = cur->next.load();
-          if (cv.marked) {
-            cur = cv.ptr;  // pragmatic: just walk through it
-            continue;
+    auto hinted_start = [&] {
+      Node* g = hint_start<kHazards>(hints_, *h.rh_, probe);
+      if (g == nullptr) return head_;
+      ++h.ctr_.hint_hits;
+      return g;  // validated anchor < probe (HP: kAnchor-covered)
+    };
+    return walk<Traversal::kMild, Backoff::kNone, kMutate, Node>(
+        *h.rh_, probe, hinted_start,
+        [&](Node*) {
+          if constexpr (kHazards)
+            return hinted_start();
+          else
+            return head_;
+        },
+        [&](Node* prev) {
+          if constexpr (!kHazards) {
+            if (prev->next.load().marked) return head_;
           }
-          if (cur->key >= probe) break;
-          prev = cur;
-          left_next = cv.ptr;
-          cur = cv.ptr;
-        }
-        if (left_next == cur) return {prev, cur};
-        // Swing the whole dead run [left_next..cur) out in one CAS.
-        if (prev->next.cas_clean(left_next, cur)) {
-          retire_run(h, left_next, cur);
-          return {prev, cur};
-        }
-        // Sweep CAS lost: resume from prev (dereference-safe -- arena
-        // addresses are stable, EBR's pin covers the op) while it
-        // lives; the dead-start check above handles the decay.
-        ++h.ctr_.restarts;
-        start = prev;
-      }
-    }
+          return prev;
+        },
+        [&](Node*, Node* first, Node* last) {
+          retire_run(hints_, *h.rh_, first, last);
+        },
+        &h.ctr_.restarts);
   }
 
-  /// Read-only covering probe for contains: no CAS, no protection
-  /// beyond the caller's (arena addresses are stable, EBR's guard
-  /// covers the op). Returns the last unmarked node observed with
-  /// anchor < probe. A hint start is sound here: all candidates are
-  /// observed unmarked during this op with anchor < probe, and the
-  /// walk's endpoint -- the last such node before the probe -- does
-  /// not depend on where below the probe it began.
-  Node* route_weak(Handle& h, long probe) {
-    Node* prev = hint_start<kHazards>(hints_, *h.rh_, probe);
-    if (prev == nullptr || prev->next.load().marked)
-      prev = head_;
-    else
-      ++h.ctr_.hint_hits;
-    Node* cur = prev->next.load().ptr;
-    while (cur != nullptr) {
-      const auto cv = cur->next.load();
-      if (cv.marked) {
-        cur = cv.ptr;
-        continue;
-      }
-      if (cur->key >= probe) break;
-      prev = cur;
-      cur = cv.ptr;
+  /// Route to the covering node of `key` -- the last unmarked node with
+  /// anchor <= key -- returned as prev; cur is the node a fresh one
+  /// links in front of when prev is the head. The probe is key + 1,
+  /// except at LONG_MAX, where that overflows: there the probe is the
+  /// key itself, and a node anchored exactly at LONG_MAX (necessarily
+  /// the chain's last) covers it.
+  template <bool kMutate>
+  Pos cover(Handle& h, long key) {
+    if (key != std::numeric_limits<long>::max())
+      return route<kMutate>(h, key + 1);
+    const Pos p = route<kMutate>(h, key);
+    if (p.cur == nullptr || p.cur->key != key) return p;
+    if constexpr (kHazards) {
+      h.rh_->protect(hazard::kAnchor, p.cur);  // kWalk still covers it
     }
-    return prev;
+    return {p.cur, nullptr};
   }
 
   /// Caller holds A's lock, A unmarked. Verify no *unmarked* successor
@@ -578,59 +519,28 @@ class UnrolledFamilyList {
       const auto sv = s->next.load();
       if (!sv.marked) return Cov::kLost;
       // Marked blocker: frozen next, safe to detach with one CAS.
-      if (a->next.cas_clean(s, sv.ptr)) retire_one(h, s);
+      if (a->next.cas_clean(s, sv.ptr))
+        retire_run(hints_, *h.rh_, s, sv.ptr);
     }
   }
 
   /// Detach-and-dispose walk for a node this thread just emptied and
   /// marked: route to its anchor so the kMutate sweep swings the run
-  /// containing it. `leak` (kRetireSkipped) sends the victim to the
+  /// containing it. A `leak_victim` (kRetireSkipped) goes to the
   /// domain's leak ledger instead of limbo; every other detached
   /// corpse retires normally. The victim pointer is only *compared*,
   /// never dereferenced -- by the time we re-walk it may already be
   /// someone else's retiree.
   void sweep_for(Handle& h, long anchor, Node* leak_victim) {
-    auto dispose = [&](Node* first, Node* last) {
-      if constexpr (Reclaim::kReclaims) {
-        Node* n = first;
-        while (n != last) {
-          Node* next = n->next.load().ptr;
-          hints_.purge(n);  // before the node can leave the live chain
-          if (n == leak_victim)
-            h.rh_->leak(n);
-          else
-            h.rh_->retire(n);
-          n = next;
-        }
-      }
-    };
-    if constexpr (kHazards) {
-      hazard::anchored_walk<Traversal::kMild, Backoff::kNone, true, Node>(
-          *h.rh_, anchor, [&] { return head_; }, [] {},
-          [&](Node*, Node* first, Node* last) { dispose(first, last); });
-    } else {
-      for (;;) {
-        Node* prev = head_;
-        Node* left_next = prev->next.load().ptr;
-        Node* cur = left_next;
-        while (cur != nullptr) {
-          const auto cv = cur->next.load();
-          if (cv.marked) {
-            cur = cv.ptr;
-            continue;
-          }
-          if (cur->key >= anchor) break;
-          prev = cur;
-          left_next = cv.ptr;
-          cur = cv.ptr;
-        }
-        if (left_next == cur) return;  // someone else swept it
-        if (prev->next.cas_clean(left_next, cur)) {
-          dispose(left_next, cur);
-          return;
-        }
-      }
-    }
+    walk<Traversal::kMild, Backoff::kNone, true, Node>(
+        *h.rh_, anchor, [&] { return head_; },
+        [&](Node*) { return head_; },  // never: the head is never marked
+        // A lost sweep: HP resumes at the still-protected prev, arena/EBR
+        // walk again from the head.
+        [&](Node* prev) { return kHazards ? prev : head_; },
+        [&](Node*, Node* first, Node* last) {
+          retire_run(hints_, *h.rh_, first, last, leak_victim);
+        });
   }
 
   /// Caller holds A's lock, A unmarked and underfull. Absorb A's
@@ -677,18 +587,15 @@ class UnrolledFamilyList {
       // are excluded by the lock; sweeps only remove marked nodes and
       // s was unmarked until just now). CAS regardless -- a racing
       // sweeper may beat us to the unlink now that s is marked.
-      if (a->next.cas_clean(s, succ)) retire_one(h, s);
+      if (a->next.cas_clean(s, succ)) retire_run(hints_, *h.rh_, s, succ);
       return;
     }
   }
 
   bool do_add(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
-    PRAGMALIST_CHECK(key != kHeadAnchor &&
-                         key != std::numeric_limits<long>::max(),
-                     "unrolled keys must lie in (LONG_MIN, LONG_MAX)");
     for (;;) {
-      const Pos p = route(h, key + 1);
+      const Pos p = cover<true>(h, key);
       Node* a = p.prev;
       if (a == head_) {
         // No covering node: a fresh node anchored at the key, linked
@@ -771,10 +678,8 @@ class UnrolledFamilyList {
 
   bool remove_impl(Handle& h, long key, RemoveMode mode) {
     [[maybe_unused]] auto guard = h.rh_->guard();
-    if (key == kHeadAnchor || key == std::numeric_limits<long>::max())
-      return false;
     for (;;) {
-      const Pos p = route(h, key + 1);
+      const Pos p = cover<true>(h, key);
       Node* a = p.prev;
       if (a == head_) return false;  // no node can cover the key
       lock_node(a);
@@ -850,83 +755,36 @@ class UnrolledFamilyList {
     }
   }
 
+  /// CAS-free contains. A hit in a validated snapshot of an unmarked
+  /// covering node is authoritative. A miss is confirmed only if a
+  /// second route lands on the *same* node at the *same* version -- the
+  /// cells provably did not change through the second route's
+  /// observation instant, so the key was absent then. The 64-bit
+  /// version cannot ABA. Under HP the covering node is pinned in the
+  /// persistent kCursor cell (owner-tagged, the cursor engines'
+  /// protocol) so it stays allocated while the second walk runs.
   bool do_contains(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
-    if (key == kHeadAnchor || key == std::numeric_limits<long>::max())
-      return false;
-    if constexpr (kHazards)
-      return contains_hazard(h, key);
-    else
-      return contains_plain(h, key);
-  }
-
-  /// CAS-free contains (arena/EBR). A hit in a validated snapshot of
-  /// an unmarked covering node is authoritative. A miss is confirmed
-  /// only if a second route lands on the *same* node at the *same*
-  /// version -- the cells provably did not change through the second
-  /// route's observation instant, so the key was absent then. The
-  /// 64-bit version cannot ABA.
-  bool contains_plain(Handle& h, long key) {
     for (;;) {
-      Node* a = route_weak(h, key + 1);
+      Node* a = cover<false>(h, key).prev;
       if (a == head_) return false;  // no covering node observed
-      const NodeView v = read_node(a);
+      const NodeView v = read_node(a);  // HP: a is kAnchor-protected
       if (v.marked) {  // emptied under us; re-route
         ++h.ctr_.restarts;
         continue;
       }
       if (view_contains(v, key)) {
+        // HP: kAnchor still covers a
         maybe_publish(hints_, h.hint_tick_, head_, a);
         return true;
       }
-      Node* a2 = route_weak(h, key + 1);
-      if (a2 == a &&
-          a->version.load(std::memory_order_acquire) == v.version)
-        return false;
-      ++h.ctr_.restarts;
-    }
-  }
-
-  /// HP contains: anchored read-only walk, snapshot, then pin the
-  /// covering node in the persistent kCursor cell (owner-tagged, the
-  /// cursor engines' protocol) across a second walk. Same-node +
-  /// same-version confirms the miss; the pin keeps the snapshot node
-  /// allocated while the second walk runs.
-  bool contains_hazard(Handle& h, long key) {
-    auto hinted_start = [&] {
-      Node* g = hint_start<kHazards>(hints_, *h.rh_, key + 1);
-      if (g == nullptr) return head_;
-      ++h.ctr_.hint_hits;
-      return g;  // validated anchor < probe, kAnchor-covered
-    };
-    for (;;) {
-      const auto w1 =
-          hazard::anchored_walk<Traversal::kMild, Backoff::kNone, false,
-                                Node>(*h.rh_, key + 1, hinted_start, [] {},
-                                      [](Node*, Node*, Node*) {},
-                                      &h.ctr_.restarts);
-      Node* a = w1.prev;
-      if (a == head_) return false;
-      const NodeView v = read_node(a);  // a is kAnchor-protected
-      if (v.marked) {
-        ++h.ctr_.restarts;
-        continue;
+      if constexpr (kHazards) {
+        hazard::publish_cursor(*h.rh_, this, a);  // gapless: kAnchor live
       }
-      if (view_contains(v, key)) {
-        // kAnchor still covers a
-        maybe_publish(hints_, h.hint_tick_, head_, a);
-        return true;
-      }
-      hazard::publish_cursor(*h.rh_, this, a);  // gapless: kAnchor live
-      const auto w2 =
-          hazard::anchored_walk<Traversal::kMild, Backoff::kNone, false,
-                                Node>(*h.rh_, key + 1, hinted_start, [] {},
-                                      [](Node*, Node*, Node*) {},
-                                      &h.ctr_.restarts);
       const bool confirmed =
-          w2.prev == a &&
+          cover<false>(h, key).prev == a &&
           a->version.load(std::memory_order_acquire) == v.version;
-      hazard::release_cursor(*h.rh_, this);
+      if constexpr (kHazards) hazard::release_cursor(*h.rh_, this);
       if (confirmed) return false;
       ++h.ctr_.restarts;
     }
@@ -941,26 +799,27 @@ class UnrolledFamilyList {
   /// *behind* the scanner, and only a re-route can find them. The
   /// resume point makes restarts emission-idempotent, and each restart
   /// retired (or raced the retirement of) one corpse, which bounds
-  /// them.
+  /// them. Under HP: kAnchor on the last live node, kWalk on the node
+  /// being snapshotted, anchor revalidation before every snapshot --
+  /// scan::hazard_scan's discipline minus run-walking (marked nodes
+  /// restart, so kRun is never needed).
   long do_scan(Handle& h, long from, long hi, long limit,
                const KeySink& sink) {
     [[maybe_unused]] auto guard = h.rh_->guard();
     if (from > hi || limit == 0) return 0;
-    if constexpr (kHazards)
-      return scan_hazard(h, from, hi, limit, sink);
-    else
-      return scan_plain(h, from, hi, limit, sink);
-  }
-
-  long scan_plain(Handle& h, long from, long hi, long limit,
-                  const KeySink& sink) {
     long emitted = 0;
     long next_from = from;  // first key position not yet observed
     for (;;) {
-      Node* prev = head_;
-      Node* cur = head_->next.load().ptr;
-      bool restart = false;
-      while (cur != nullptr) {
+      Node* prev = head_;  // the head sentinel is never marked
+      if constexpr (kHazards) h.rh_->protect(hazard::kAnchor, prev);
+      Node* cur = prev->next.load().ptr;
+      for (;;) {
+        if (cur == nullptr) return emitted;  // clean end of chain
+        if constexpr (kHazards) {
+          h.rh_->protect(hazard::kWalk, cur);
+          const auto av = prev->next.load();
+          if (av.marked || av.ptr != cur) break;  // lost the anchor
+        }
         if (cur->key > hi) return emitted;  // anchors only grow
         const NodeView v = read_node(cur);
         if (v.marked) {
@@ -969,9 +828,8 @@ class UnrolledFamilyList {
           // has a frozen next, one CAS detaches it. Restarts go to the
           // head -- never a hint: merge-left may have moved this
           // node's keys *behind* any start below the resume point.
-          if (prev->next.cas_clean(cur, v.next)) retire_one(h, cur);
-          ++h.ctr_.restarts;
-          restart = true;
+          if (prev->next.cas_clean(cur, v.next))
+            retire_run(hints_, *h.rh_, cur, v.next);
           break;
         }
         for (int i = 0; i < v.count; ++i) {
@@ -985,58 +843,12 @@ class UnrolledFamilyList {
           next_from = k + 1;
         }
         prev = cur;
+        if constexpr (kHazards) {
+          h.rh_->protect(hazard::kAnchor, cur);  // kWalk still covers cur
+        }
         cur = v.next;
       }
-      if (!restart) return emitted;  // clean end of chain
-    }
-  }
-
-  /// Hazard flavor: kAnchor on the last live node, kWalk on the node
-  /// being snapshotted, anchor revalidation before every snapshot --
-  /// the same discipline as scan::hazard_scan, minus run-walking
-  /// (marked nodes restart, as above, so kRun is never needed).
-  long scan_hazard(Handle& h, long from, long hi, long limit,
-                   const KeySink& sink) {
-    long emitted = 0;
-    long next_from = from;
-    for (;;) {
-      Node* prev = head_;  // the head sentinel is never marked
-      h.rh_->protect(hazard::kAnchor, prev);
-      Node* cur = prev->next.load().ptr;
-      bool restart = false;
-      while (cur != nullptr) {
-        h.rh_->protect(hazard::kWalk, cur);
-        {
-          const auto av = prev->next.load();
-          if (av.marked || av.ptr != cur) {
-            ++h.ctr_.restarts;
-            restart = true;
-            break;
-          }
-        }
-        if (cur->key > hi) return emitted;
-        const NodeView v = read_node(cur);
-        if (v.marked) {
-          if (prev->next.cas_clean(cur, v.next)) retire_one(h, cur);
-          ++h.ctr_.restarts;
-          restart = true;
-          break;
-        }
-        for (int i = 0; i < v.count; ++i) {
-          const long k = v.keys[i];
-          if (k < next_from) continue;
-          if (k > hi) return emitted;
-          if (limit >= 0 && emitted >= limit) return emitted;
-          sink(k);
-          ++emitted;
-          if (k == hi) return emitted;
-          next_from = k + 1;
-        }
-        prev = cur;
-        h.rh_->protect(hazard::kAnchor, cur);  // kWalk still covers cur
-        cur = v.next;
-      }
-      if (!restart) return emitted;
+      ++h.ctr_.restarts;  // lost the anchor or met a corpse: from the head
     }
   }
 

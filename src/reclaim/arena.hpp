@@ -50,6 +50,9 @@ class Arena : public Domain<Node> {
   /// protected state.
   class Handle : public HandleBase<Arena, Node> {
    public:
+    static constexpr bool kHazards = Arena::kHazards;
+    static constexpr bool kReclaims = Arena::kReclaims;
+
     struct Guard {};
     Guard guard() { return {}; }
     void retire(Node*) {}  // the registry frees everything at teardown

@@ -133,6 +133,9 @@ class Ebr : public Domain<Node, std::pair<Node*, std::uint64_t>> {
     using HandleBase<Ebr, Node>::slot_;
 
    public:
+    static constexpr bool kHazards = Ebr::kHazards;
+    static constexpr bool kReclaims = Ebr::kReclaims;
+
     Handle(Handle&&) = default;
     ~Handle() {
       if (d_ == nullptr) return;

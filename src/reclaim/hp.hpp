@@ -16,8 +16,8 @@
 //   Engine requirements: the engine must run a hazard traversal --
 //     publish into a slot before every dereference and revalidate
 //     afterwards. Stepping over marked nodes additionally requires the
-//     anchored-validation walk (core::hazard::anchored_walk): plain HP
-//     validation cannot detect that a marked node's frozen successor
+//     anchored-validation steps core::walk runs on an HP handle: plain
+//     HP validation cannot detect that a marked node's frozen successor
 //     chain was swept, see list_base.hpp. Per-handle cursors are
 //     supported via a dedicated persistent slot (hazard::kCursor).
 //
@@ -97,6 +97,9 @@ class Hp : public Domain<Node> {
     using HandleBase<Hp, Node>::cache_;
 
    public:
+    static constexpr bool kHazards = Hp::kHazards;
+    static constexpr bool kReclaims = Hp::kReclaims;
+
     Handle(Handle&&) = default;
     ~Handle() {
       if (d_ == nullptr) return;

@@ -47,6 +47,10 @@
 //                                // samples (always 0 for the arena)
 //
 // Per-thread Handle surface:
+//   static constexpr bool kHazards, kReclaims;  // the policy's, so
+//                                // code holding only a handle
+//                                // (core::walk, core::retire_run) can
+//                                // branch on them
 //   auto guard();                // RAII critical section around one
 //                                // operation (epoch pin for EBR, no-op
 //                                // otherwise)

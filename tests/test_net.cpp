@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -209,40 +210,52 @@ Reply dispatch(core::ISetHandle& handle,
   return r;
 }
 
+/// Every catalog id, fed random keys in [0, 512) plus both ends of the
+/// long range -- keys the wire parser accepts, so no engine may refuse
+/// or trip over them.
 TEST(Dispatch, MatchesSequentialOracle) {
-  const auto set = harness::make_set("singly");
-  const auto handle = set->make_handle();
-  std::set<long> oracle;
-  std::uint64_t x = 12345;
-  for (int i = 0; i < 4000; ++i) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    const long key = static_cast<long>((x >> 33) % 512);
-    const int op = static_cast<int>((x >> 20) % 3);
-    const std::string ks = std::to_string(key);
-    if (op == 0) {
-      const Reply r = dispatch(*handle, {"SET", ks});
-      ASSERT_EQ(r.type, Reply::Type::kInteger);
-      EXPECT_EQ(r.integer, oracle.insert(key).second ? 1 : 0);
-    } else if (op == 1) {
-      const Reply r = dispatch(*handle, {"DEL", ks});
-      ASSERT_EQ(r.type, Reply::Type::kInteger);
-      EXPECT_EQ(r.integer, oracle.erase(key) != 0 ? 1 : 0);
-    } else {
-      const Reply r = dispatch(*handle, {"GET", ks});
-      ASSERT_EQ(r.type, Reply::Type::kInteger);
-      EXPECT_EQ(r.integer, oracle.count(key) != 0 ? 1 : 0);
+  constexpr long kExtremes[] = {std::numeric_limits<long>::min(),
+                                std::numeric_limits<long>::max()};
+  for (const std::string_view id : harness::all_variant_ids()) {
+    SCOPED_TRACE(std::string(id));
+    const auto set = harness::make_set(id);
+    const auto handle = set->make_handle();
+    std::set<long> oracle;
+    std::uint64_t x = 12345;
+    for (int i = 0; i < 4000; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const long pick = static_cast<long>((x >> 33) % 520);
+      const long key = pick < 512 ? pick : kExtremes[pick % 2];
+      const int op = static_cast<int>((x >> 20) % 3);
+      const std::string ks = std::to_string(key);
+      if (op == 0) {
+        const Reply r = dispatch(*handle, {"SET", ks});
+        ASSERT_EQ(r.type, Reply::Type::kInteger);
+        EXPECT_EQ(r.integer, oracle.insert(key).second ? 1 : 0);
+      } else if (op == 1) {
+        const Reply r = dispatch(*handle, {"DEL", ks});
+        ASSERT_EQ(r.type, Reply::Type::kInteger);
+        EXPECT_EQ(r.integer, oracle.erase(key) != 0 ? 1 : 0);
+      } else {
+        const Reply r = dispatch(*handle, {"GET", ks});
+        ASSERT_EQ(r.type, Reply::Type::kInteger);
+        EXPECT_EQ(r.integer, oracle.count(key) != 0 ? 1 : 0);
+      }
     }
+    // SCAN pages agree with the oracle's sorted order.
+    for (const long from : {100L, kExtremes[0]}) {
+      const Reply scan =
+          dispatch(*handle, {"SCAN", std::to_string(from), "50"});
+      ASSERT_EQ(scan.type, Reply::Type::kIntArray);
+      std::vector<long> expect;
+      for (auto it = oracle.lower_bound(from);
+           it != oracle.end() && expect.size() < 50; ++it)
+        expect.push_back(*it);
+      EXPECT_EQ(scan.ints, expect);
+    }
+    std::string err;
+    EXPECT_TRUE(set->validate(&err)) << err;
   }
-  // SCAN pages agree with the oracle's sorted order.
-  const Reply scan = dispatch(*handle, {"SCAN", "100", "50"});
-  ASSERT_EQ(scan.type, Reply::Type::kIntArray);
-  std::vector<long> expect;
-  for (auto it = oracle.lower_bound(100);
-       it != oracle.end() && expect.size() < 50; ++it)
-    expect.push_back(*it);
-  EXPECT_EQ(scan.ints, expect);
-  std::string err;
-  EXPECT_TRUE(set->validate(&err)) << err;
 }
 
 TEST(Dispatch, ErrorsTouchNothing) {

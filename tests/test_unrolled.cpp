@@ -211,15 +211,63 @@ TYPED_TEST(UnrolledNode, ScanStrictlyAscendingAcrossSplits) {
   expect_valid(list);
 }
 
-TYPED_TEST(UnrolledNode, ExtremeKeysAreRejectedOrAbsent) {
+TYPED_TEST(UnrolledNode, ExtremeKeysRoundTrip) {
+  constexpr long kMin = std::numeric_limits<long>::min();
+  constexpr long kMax = std::numeric_limits<long>::max();
   TypeParam list;
   auto h = list.make_handle();
-  // LONG_MIN is the anchor/empty-cell sentinel and LONG_MAX is the
-  // route(key + 1) guard: both stay outside the key universe.
-  EXPECT_FALSE(h.contains(std::numeric_limits<long>::min()));
-  EXPECT_FALSE(h.remove(std::numeric_limits<long>::min()));
-  EXPECT_FALSE(h.contains(std::numeric_limits<long>::max()));
-  EXPECT_FALSE(h.remove(std::numeric_limits<long>::max()));
+  auto scan = [&](long lo, long hi) {
+    std::vector<long> got;
+    h.range_scan(lo, hi, [&](long k) { got.push_back(k); });
+    return got;
+  };
+  // Alone: each extreme anchors its own fresh node (LONG_MIN shares the
+  // head sentinel's anchor, LONG_MAX covers itself with no key + 1).
+  for (long k : {kMax, kMin}) {
+    EXPECT_FALSE(h.contains(k));
+    EXPECT_TRUE(h.add(k));
+    EXPECT_FALSE(h.add(k));
+    EXPECT_TRUE(h.contains(k));
+  }
+  EXPECT_EQ(list.live_node_count(), 2u);
+  EXPECT_EQ(scan(kMin, kMax), (std::vector<long>{kMin, kMax}));
+  EXPECT_EQ(scan(kMin, kMin), std::vector<long>{kMin});
+  EXPECT_EQ(scan(kMax, kMax), std::vector<long>{kMax});
+  expect_valid(list);
+
+  // Among ordinary keys: the LONG_MIN node fills and splits around them.
+  std::vector<long> expect{kMin};
+  for (long k = -20; k < 20; ++k) {
+    ASSERT_TRUE(h.add(k));
+    expect.push_back(k);
+  }
+  expect.push_back(kMax);
+  EXPECT_EQ(list.snapshot(), expect);
+  EXPECT_EQ(scan(kMin, kMax), expect);
+  EXPECT_EQ(h.ascend(kMin, 3), (std::vector<long>{kMin, -20, -19}));
+  EXPECT_EQ(h.ascend(19, 5), (std::vector<long>{19, kMax}));
+  expect_valid(list);
+
+  for (long k : {kMin, kMax}) {
+    EXPECT_TRUE(h.remove(k));
+    EXPECT_FALSE(h.remove(k));
+    EXPECT_FALSE(h.contains(k));
+  }
+  EXPECT_EQ(scan(kMin, kMax).size(), 40u);
+  expect_valid(list);
+
+  // LONG_MAX inside a node anchored below it, not as its own anchor.
+  TypeParam shared;
+  auto g = shared.make_handle();
+  ASSERT_TRUE(g.add(5));
+  ASSERT_TRUE(g.add(kMax));
+  EXPECT_EQ(shared.live_node_count(), 1u);
+  EXPECT_TRUE(g.contains(kMax));
+  EXPECT_FALSE(g.add(kMax));
+  EXPECT_TRUE(g.remove(kMax));
+  EXPECT_FALSE(g.contains(kMax));
+  EXPECT_EQ(shared.snapshot(), std::vector<long>{5});
+  expect_valid(shared);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ harness::RunResult private_mix(int p, long c, long universe,
 template <typename List>
 struct PrivateLockFree {
   List list;
-  typename List::Handle h{list.make_handle()};
+  core::Counted<typename List::Handle> h{list.make_handle()};
   bool add(long k) { return h.add(k); }
   bool remove(long k) { return h.remove(k); }
   bool contains(long k) { return h.contains(k); }
@@ -91,11 +91,11 @@ int main(int argc, char** argv) {
   std::vector<harness::TableRow> rows;
   rows.push_back(
       {"seq_singly", private_mix(p, c, u, seed, pin, [] {
-         return baselines::SequentialList();
+         return core::Counted(baselines::SequentialList());
        })});
   rows.push_back(
       {"seq_doubly_cursor", private_mix(p, c, u, seed, pin, [] {
-         return baselines::SequentialCursorList();
+         return core::Counted(baselines::SequentialCursorList());
        })});
   rows.push_back(
       {"lf_singly_cursor", private_mix(p, c, u, seed, pin, [] {

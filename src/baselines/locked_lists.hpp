@@ -26,53 +26,34 @@ namespace pragmalist::baselines {
 
 class CoarseLockList {
  public:
+  /// Uncounted: core::Counted keeps the op ledger over this handle.
   class Handle {
    public:
-    // The inner SequentialList keeps its own counters; those are
-    // simply never read -- each handle's ledger is authoritative.
     bool add(long key) {
-      ++ctr_.add_calls;
       std::lock_guard<std::mutex> g(list_->mu_);
-      const bool ok = list_->inner_.add(key);
-      ctr_.adds += ok;
-      return ok;
+      return list_->inner_.add(key);
     }
     bool remove(long key) {
-      ++ctr_.rem_calls;
       std::lock_guard<std::mutex> g(list_->mu_);
-      const bool ok = list_->inner_.remove(key);
-      ctr_.rems += ok;
-      return ok;
+      return list_->inner_.remove(key);
     }
     bool contains(long key) {
-      ++ctr_.con_calls;
       std::lock_guard<std::mutex> g(list_->mu_);
-      const bool ok = list_->inner_.contains(key);
-      ctr_.cons += ok;
-      return ok;
+      return list_->inner_.contains(key);
     }
     // Scans hold the one lock for the whole walk -- the coarse
     // baseline's honest price for a trivially atomic range read. The
     // sink must not reenter the set (it would self-deadlock).
-    long range_scan(long lo, long hi, const core::KeySink& sink) {
-      return core::counted_range_scan(*this, ctr_, lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) {
-      return core::counted_ascend(*this, ctr_, from, limit);
-    }
-    /// Uncounted paging primitive for the sharded k-way merge.
     long scan_raw(long from, long hi, long limit,
                   const core::KeySink& sink) {
       std::lock_guard<std::mutex> g(list_->mu_);
-      return list_->inner_.range_scan(from, hi, limit, sink);
+      return list_->inner_.scan_raw(from, hi, limit, sink);
     }
-    const core::OpCounters& counters() const { return ctr_; }
 
    private:
     friend class CoarseLockList;
     explicit Handle(CoarseLockList* list) : list_(list) {}
     CoarseLockList* list_;
-    core::OpCounters ctr_;
   };
 
   Handle make_handle() { return Handle(this); }
@@ -98,47 +79,24 @@ class LazyLockList {
   };
 
  public:
+  /// Uncounted: core::Counted keeps the op ledger over this handle.
   class Handle {
    public:
-    bool add(long key) {
-      ++ctr_.add_calls;
-      const bool ok = list_->do_add(key);
-      ctr_.adds += ok;
-      return ok;
-    }
-    bool remove(long key) {
-      ++ctr_.rem_calls;
-      const bool ok = list_->do_remove(key);
-      ctr_.rems += ok;
-      return ok;
-    }
-    bool contains(long key) {
-      ++ctr_.con_calls;
-      const bool ok = list_->do_contains(key);
-      ctr_.cons += ok;
-      return ok;
-    }
+    bool add(long key) { return list_->do_add(key); }
+    bool remove(long key) { return list_->do_remove(key); }
+    bool contains(long key) { return list_->do_contains(key); }
     // Lock-free like the lazy list's contains: readers traverse
     // without locks and skip marked nodes; unlinked nodes stay on the
     // retire registry until teardown, so the walk never dangles.
-    long range_scan(long lo, long hi, const core::KeySink& sink) {
-      return core::counted_range_scan(*this, ctr_, lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) {
-      return core::counted_ascend(*this, ctr_, from, limit);
-    }
-    /// Uncounted paging primitive for the sharded k-way merge.
     long scan_raw(long from, long hi, long limit,
                   const core::KeySink& sink) {
       return list_->do_scan(from, hi, limit, sink);
     }
-    const core::OpCounters& counters() const { return ctr_; }
 
    private:
     friend class LazyLockList;
     explicit Handle(LazyLockList* list) : list_(list) {}
     LazyLockList* list_;
-    core::OpCounters ctr_;
   };
 
   LazyLockList() {

@@ -64,41 +64,27 @@ class MichaelList {
                 "domain");
 
  public:
+  /// Uncounted: core::Counted keeps the op ledger over this handle.
   class Handle {
    public:
     bool add(long key) {
-      ++ctr_.add_calls;
       [[maybe_unused]] auto pin = rh_->guard();
-      const bool ok = list_->do_add(*this, key);
-      ctr_.adds += ok;
-      return ok;
+      return list_->do_add(*this, key);
     }
     bool remove(long key) {
-      ++ctr_.rem_calls;
       [[maybe_unused]] auto pin = rh_->guard();
-      const bool ok = list_->do_remove(*this, key);
-      ctr_.rems += ok;
-      return ok;
+      return list_->do_remove(*this, key);
     }
     bool contains(long key) {
-      ++ctr_.con_calls;
       [[maybe_unused]] auto pin = rh_->guard();
-      const bool ok = list_->do_contains(*this, key);
-      ctr_.cons += ok;
-      return ok;
+      return list_->do_contains(*this, key);
     }
-    long range_scan(long lo, long hi, const core::KeySink& sink) {
-      return core::counted_range_scan(*this, ctr_, lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) {
-      return core::counted_ascend(*this, ctr_, from, limit);
-    }
-    /// Uncounted paging primitive for the sharded k-way merge. Under
-    /// HP it runs the shared re-anchoring hazard scan (slots 0-2;
-    /// Michael's find uses the same cells, never concurrently on one
-    /// handle), which steps over marked nodes -- safe under the
-    /// anchored-validation argument even though this list's updates
-    /// are draconic. Under EBR one epoch pin covers the whole page.
+    /// The paging primitive behind both scan forms. Under HP it runs
+    /// the shared re-anchoring hazard scan (slots 0-2; Michael's find
+    /// uses the same cells, never concurrently on one handle), which
+    /// steps over marked nodes -- safe under the anchored-validation
+    /// argument even though this list's updates are draconic. Under
+    /// EBR one epoch pin covers the whole page.
     long scan_raw(long from, long hi, long limit,
                   const core::KeySink& sink) {
       if constexpr (kHazards) {
@@ -109,7 +95,6 @@ class MichaelList {
         return core::scan::plain_scan(list_->head_, from, hi, limit, sink);
       }
     }
-    const core::OpCounters& counters() const { return ctr_; }
 
     Handle(Handle&&) = default;  // MaybeOwned re-seats its pointer
     Handle(const Handle&) = delete;
@@ -124,7 +109,6 @@ class MichaelList {
 
     MichaelList* list_;
     reclaim::MaybeOwned<ReclaimHandle> rh_;
-    core::OpCounters ctr_;
   };
 
   explicit MichaelList(std::shared_ptr<Reclaim> domain = nullptr)

@@ -19,6 +19,22 @@
 
 namespace pragmalist::baselines {
 
+/// Emit the keys of a sorted chain in [from, hi] ascending, at most
+/// `limit` (< 0 = unbounded); returns the number emitted.
+template <typename Node>
+long scan_chain(const Node* head, long from, long hi, long limit,
+                const core::KeySink& sink) {
+  long emitted = 0;
+  for (const Node* n = head; n != nullptr; n = n->next) {
+    if (n->key > hi || (limit >= 0 && emitted >= limit)) break;
+    if (n->key >= from) {
+      sink(n->key);
+      ++emitted;
+    }
+  }
+  return emitted;
+}
+
 class SequentialList {
   struct Node {
     long key;
@@ -29,68 +45,50 @@ class SequentialList {
   SequentialList() = default;
   SequentialList(SequentialList&& o) noexcept
       : head_(std::exchange(o.head_, nullptr)),
-        size_(std::exchange(o.size_, 0)),
-        ctr_(std::exchange(o.ctr_, {})) {}
+        size_(std::exchange(o.size_, 0)) {}
   SequentialList(const SequentialList&) = delete;
   SequentialList& operator=(const SequentialList&) = delete;
   ~SequentialList() { clear(); }
 
   bool add(long key) {
-    ++ctr_.add_calls;
     Node** slot = lower_bound(key);
     if (*slot != nullptr && (*slot)->key == key) return false;
     *slot = new Node{key, *slot};
     ++size_;
-    ++ctr_.adds;
     return true;
   }
 
   bool remove(long key) {
-    ++ctr_.rem_calls;
     Node** slot = lower_bound(key);
     Node* n = *slot;
     if (n == nullptr || n->key != key) return false;
     *slot = n->next;
     delete n;
     --size_;
-    ++ctr_.rems;
     return true;
   }
 
   bool contains(long key) {
-    ++ctr_.con_calls;
     const Node* n = head_;
     while (n != nullptr && n->key < key) n = n->next;
-    const bool hit = n != nullptr && n->key == key;
-    ctr_.cons += hit;
-    return hit;
+    return n != nullptr && n->key == key;
   }
 
-  core::OpCounters counters() const { return ctr_; }
   std::size_t size() const { return size_; }
 
-  /// Emit live keys in [from, hi] ascending, at most `limit` (< 0 =
-  /// unbounded); returns the number emitted. The scan oracle for the
-  /// concurrent structures' range_scan/ascend (and the walk behind
-  /// snapshot() and CoarseLockList's scans).
-  long range_scan(long from, long hi, long limit,
-                  const core::KeySink& sink) const {
-    long emitted = 0;
-    for (const Node* n = head_; n != nullptr; n = n->next) {
-      if (n->key > hi || (limit >= 0 && emitted >= limit)) break;
-      if (n->key >= from) {
-        sink(n->key);
-        ++emitted;
-      }
-    }
-    return emitted;
+  /// The scan oracle for the concurrent structures' scans (and the
+  /// walk behind snapshot() and CoarseLockList's scans); core::Counted
+  /// counts it like theirs.
+  long scan_raw(long from, long hi, long limit,
+                const core::KeySink& sink) const {
+    return scan_chain(head_, from, hi, limit, sink);
   }
 
   std::vector<long> snapshot() const {
     std::vector<long> keys;
-    range_scan(std::numeric_limits<long>::min(),
-               std::numeric_limits<long>::max(), /*limit=*/-1,
-               [&](long k) { keys.push_back(k); });
+    scan_raw(std::numeric_limits<long>::min(),
+             std::numeric_limits<long>::max(), /*limit=*/-1,
+             [&](long k) { keys.push_back(k); });
     return keys;
   }
 
@@ -132,7 +130,6 @@ class SequentialList {
 
   Node* head_ = nullptr;
   std::size_t size_ = 0;
-  core::OpCounters ctr_;
 };
 
 /// SequentialList plus the cursor optimisation: searches whose key is
@@ -151,14 +148,12 @@ class SequentialCursorList {
   SequentialCursorList(SequentialCursorList&& o) noexcept
       : head_(std::exchange(o.head_, nullptr)),
         cursor_(std::exchange(o.cursor_, nullptr)),
-        size_(std::exchange(o.size_, 0)),
-        ctr_(std::exchange(o.ctr_, {})) {}
+        size_(std::exchange(o.size_, 0)) {}
   SequentialCursorList(const SequentialCursorList&) = delete;
   SequentialCursorList& operator=(const SequentialCursorList&) = delete;
   ~SequentialCursorList() { clear(); }
 
   bool add(long key) {
-    ++ctr_.add_calls;
     Node* prev = start_for(key);
     Node* cur = prev == nullptr ? head_ : prev->next;
     while (cur != nullptr && cur->key < key) {
@@ -176,12 +171,10 @@ class SequentialCursorList {
       prev->next = n;
     cursor_ = n;
     ++size_;
-    ++ctr_.adds;
     return true;
   }
 
   bool remove(long key) {
-    ++ctr_.rem_calls;
     Node* prev = start_for(key);
     Node* cur = prev == nullptr ? head_ : prev->next;
     while (cur != nullptr && cur->key < key) {
@@ -199,12 +192,10 @@ class SequentialCursorList {
     cursor_ = prev;
     delete cur;
     --size_;
-    ++ctr_.rems;
     return true;
   }
 
   bool contains(long key) {
-    ++ctr_.con_calls;
     Node* prev = start_for(key);
     Node* cur = prev == nullptr ? head_ : prev->next;
     while (cur != nullptr && cur->key < key) {
@@ -212,18 +203,22 @@ class SequentialCursorList {
       cur = cur->next;
     }
     cursor_ = prev;
-    const bool hit = cur != nullptr && cur->key == key;
-    ctr_.cons += hit;
-    return hit;
+    return cur != nullptr && cur->key == key;
   }
 
-  core::OpCounters counters() const { return ctr_; }
   std::size_t size() const { return size_; }
+
+  /// SequentialList::scan_raw; scans never move the cursor.
+  long scan_raw(long from, long hi, long limit,
+                const core::KeySink& sink) const {
+    return scan_chain(head_, from, hi, limit, sink);
+  }
 
   std::vector<long> snapshot() const {
     std::vector<long> keys;
-    for (const Node* n = head_; n != nullptr; n = n->next)
-      keys.push_back(n->key);
+    scan_raw(std::numeric_limits<long>::min(),
+             std::numeric_limits<long>::max(), /*limit=*/-1,
+             [&](long k) { keys.push_back(k); });
     return keys;
   }
 
@@ -270,7 +265,6 @@ class SequentialCursorList {
   Node* head_ = nullptr;
   Node* cursor_ = nullptr;
   std::size_t size_ = 0;
-  core::OpCounters ctr_;
 };
 
 }  // namespace pragmalist::baselines

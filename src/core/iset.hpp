@@ -1,13 +1,16 @@
 // Type-erased concurrent ordered-set interface the harness drives. Each
 // concrete structure exposes a thread-local Handle (per-thread cursor,
-// hazard slots, reclamation bags, op counters); the harness creates one
+// hazard slots, reclamation bags) with uncounted operations; core::Counted
+// wraps it with the op ledger, and the harness creates one counted
 // handle per worker thread through ISet::make_handle().
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -18,21 +21,26 @@
 
 namespace pragmalist::core {
 
-/// Per-handle operation ledger. `adds`/`rems`/`cons` count *successful*
-/// operations (add inserted, remove deleted, contains hit); the
-/// *_calls fields count attempts. The random-mix conservation check
-/// (prefill + adds - rems == population) depends on the success counts.
-/// `scan_calls` counts range_scan()/ascend() invocations (one per call,
-/// like the other *_calls) and `scans` the keys those calls emitted.
+/// Per-handle operation ledger, written only by core::Counted below.
+/// `adds`/`rems`/`cons` count *successful* operations (add inserted,
+/// remove deleted, contains hit); the *_calls fields count attempts.
+/// The random-mix conservation check (prefill + adds - rems ==
+/// population) depends on the success counts. `scan_calls` counts
+/// range_scan()/ascend() invocations (one per call, like the other
+/// *_calls) and `scans` the keys those calls emitted. An op-level fault
+/// (ISetHandle::abandon) counts as one remove attempt where the
+/// structure has that path.
 ///
 /// `hint_hits` and `restarts` are read-path progress diagnostics, not
-/// operations, and are deliberately excluded from total_ops():
-/// hint_hits counts traversal starts taken from a validated shortcut
-/// (hint index or cursor composed via core::start::tighter), restarts
-/// counts lost anchors -- a traversal pass abandoned and resumed
-/// (plain search sweep-CAS losses, HP anchor revalidation failures).
-/// The starvation tier asserts restarts stays proportional to ops --
-/// bounded retries -- and bench_grid prints both per cell.
+/// operations, and are deliberately excluded from total_ops(); the
+/// engines keep them on their own handles (core::ReadPath) and Counted
+/// copies them in on read. hint_hits counts traversal starts taken from
+/// a validated shortcut (hint index or cursor composed via
+/// core::start::tighter), restarts counts lost anchors -- a traversal
+/// pass abandoned and resumed (plain search sweep-CAS losses, HP anchor
+/// revalidation failures). The starvation tier asserts restarts stays
+/// proportional to ops -- bounded retries -- and bench_grid prints both
+/// per cell.
 struct OpCounters {
   long adds = 0;
   long rems = 0;
@@ -104,31 +112,6 @@ struct OpCounters {
 /// Receives the keys a range scan emits, in ascending order.
 using KeySink = std::function<void(long)>;
 
-/// The counted public scan forms, implemented once over any concrete
-/// handle exposing the uncounted `scan_raw(from, hi, limit, sink)`
-/// primitive. Every engine/baseline/sharded handle delegates here, so
-/// the scans/scan_calls ledger rules live in exactly one place.
-template <typename Handle>
-long counted_range_scan(Handle& h, OpCounters& ctr, long lo, long hi,
-                        const KeySink& sink) {
-  ++ctr.scan_calls;
-  const long n = h.scan_raw(lo, hi, /*limit=*/-1, sink);
-  ctr.scans += n;
-  return n;
-}
-
-template <typename Handle>
-std::vector<long> counted_ascend(Handle& h, OpCounters& ctr, long from,
-                                 std::size_t limit) {
-  ++ctr.scan_calls;
-  std::vector<long> out;
-  out.reserve(limit);
-  h.scan_raw(from, std::numeric_limits<long>::max(),
-             static_cast<long>(limit), [&](long k) { out.push_back(k); });
-  ctr.scans += static_cast<long>(out.size());
-  return out;
-}
-
 /// A thread's view of a set. Not thread-safe: exactly one thread uses a
 /// given handle. Handles must not outlive their set.
 ///
@@ -152,9 +135,10 @@ class ISetHandle {
   /// Returns the number of keys emitted (0 when lo > hi).
   virtual long range_scan(long lo, long hi, const KeySink& sink) = 0;
 
-  /// Paging form: up to `limit` live keys >= `from`, ascending. An
-  /// ascending pager resumes with from = last returned key + 1; a
-  /// result shorter than `limit` means the key space is exhausted.
+  /// Paging form: up to `limit` live keys >= `from`, ascending (a limit
+  /// past LONG_MAX is unbounded). An ascending pager resumes with from
+  /// = last returned key + 1; a result shorter than `limit` means the
+  /// key space is exhausted.
   virtual std::vector<long> ascend(long from, std::size_t limit) = 0;
 
   virtual OpCounters counters() const = 0;
@@ -171,16 +155,114 @@ class ISetHandle {
   virtual void abandon(faults::FaultKind, long /*key*/) {}
 };
 
-/// Whether a concrete handle has the op-level fault path above
-/// (`abandon(kind, key)`): the engines and the sharded set do; the
-/// locked baselines, the Michael list and the skiplists do not, and
-/// keep ISetHandle::abandon's no-op.
+/// Whether a concrete handle has the fault path above (`abandon(kind,
+/// key)`, returning whether the remove attempt an op-level kind made
+/// took effect, or nullopt when it made none): the engines and the
+/// sharded set do; the locked baselines, the Michael list and the
+/// skiplists do not, and keep ISetHandle::abandon's no-op.
 template <typename T, typename = void>
 struct HasAbandon : std::false_type {};
 template <typename T>
 struct HasAbandon<T, std::void_t<decltype(std::declval<T&>().abandon(
                          faults::FaultKind::kMidOpAbandon, 0L))>>
     : std::true_type {};
+
+/// A concrete handle's read-path diagnostics (OpCounters::hint_hits /
+/// restarts). The engines keep one per handle and overload read_path()
+/// for it (the sharded set sums its shards'); every other handle reads
+/// the zeros of this default.
+struct ReadPath {
+  long hint_hits = 0;
+  long restarts = 0;
+};
+
+template <typename H>
+ReadPath read_path(const H&) {
+  return {};
+}
+
+/// The counted handle: the one place the op ledger is written. Wraps
+/// any concrete handle with uncounted add/remove/contains and the
+/// paging primitive `scan_raw(from, hi, limit, sink)` (emit live keys
+/// in [from, hi] ascending, at most `limit`, < 0 = unbounded; return
+/// the number emitted), and implements both public scan forms over it.
+/// The catalog hands these out; the typed tests and the thread-private
+/// bench wrap their concrete handles in one too.
+template <typename H>
+class Counted final : public ISetHandle {
+ public:
+  explicit Counted(H h) : h_(std::move(h)) {}
+
+  bool add(long key) override {
+    ++ctr_.add_calls;
+    const bool ok = h_.add(key);
+    ctr_.adds += ok;
+    return ok;
+  }
+  bool remove(long key) override {
+    ++ctr_.rem_calls;
+    const bool ok = h_.remove(key);
+    ctr_.rems += ok;
+    return ok;
+  }
+  bool contains(long key) override {
+    ++ctr_.con_calls;
+    const bool ok = h_.contains(key);
+    ctr_.cons += ok;
+    return ok;
+  }
+
+  long range_scan(long lo, long hi, const KeySink& sink) override {
+    ++ctr_.scan_calls;
+    const long n = h_.scan_raw(lo, hi, /*limit=*/-1, sink);
+    ctr_.scans += n;
+    return n;
+  }
+
+  /// A limit past LONG_MAX is unbounded; the up-front reserve stops at
+  /// kAscendReserve (the wire's SCAN clamp), so a "rest of the set"
+  /// limit allocates as the keys arrive rather than all at once.
+  std::vector<long> ascend(long from, std::size_t limit) override {
+    constexpr long kMax = std::numeric_limits<long>::max();
+    ++ctr_.scan_calls;
+    std::vector<long> out;
+    out.reserve(std::min(limit, kAscendReserve));
+    h_.scan_raw(from, kMax,
+                limit > static_cast<std::size_t>(kMax)
+                    ? -1
+                    : static_cast<long>(limit),
+                [&](long k) { out.push_back(k); });
+    ctr_.scans += static_cast<long>(out.size());
+    return out;
+  }
+
+  OpCounters counters() const override {
+    OpCounters c = ctr_;
+    const ReadPath rp = read_path(h_);
+    c.hint_hits = rp.hint_hits;
+    c.restarts = rp.restarts;
+    return c;
+  }
+
+  void abandon(faults::FaultKind k, long key) override {
+    if constexpr (HasAbandon<H>::value) {
+      if (const std::optional<bool> removed = h_.abandon(k, key)) {
+        ++ctr_.rem_calls;
+        ctr_.rems += *removed;
+      }
+    }
+  }
+
+  /// The wrapped handle (the sequential lists are their own handle and
+  /// answer the quiescent calls too).
+  const H& inner() const { return h_; }
+
+ private:
+  static constexpr std::size_t kAscendReserve = 4096;
+
+  H h_;
+  OpCounters ctr_;
+};
 
 /// The shared structure. make_handle() may be called concurrently from
 /// worker threads; validate()/size()/snapshot() are quiescent-only

@@ -65,6 +65,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -147,44 +148,23 @@ class ListFamily {
       kCursor == Cursor::kPerHandle && (kStable || kHazards);
 
  public:
+  /// Uncounted: core::Counted keeps the op ledger over this handle.
   class Handle {
    public:
-    bool add(long key) {
-      ++ctr_.add_calls;
-      const bool ok = list_->do_add(*this, key);
-      ctr_.adds += ok;
-      return ok;
-    }
-    bool remove(long key) {
-      ++ctr_.rem_calls;
-      const bool ok = list_->do_remove(*this, key);
-      ctr_.rems += ok;
-      return ok;
-    }
-    bool contains(long key) {
-      ++ctr_.con_calls;
-      const bool ok = list_->do_contains(*this, key);
-      ctr_.cons += ok;
-      return ok;
-    }
-    long range_scan(long lo, long hi, const KeySink& sink) {
-      return counted_range_scan(*this, ctr_, lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) {
-      return counted_ascend(*this, ctr_, from, limit);
-    }
-    /// Uncounted paging primitive: the sharded k-way merge drives this
-    /// per shard and counts once per logical scan at the set level.
+    bool add(long key) { return list_->do_add(*this, key); }
+    bool remove(long key) { return list_->do_remove(*this, key); }
+    bool contains(long key) { return list_->do_contains(*this, key); }
     long scan_raw(long from, long hi, long limit, const KeySink& sink) {
       return list_->do_scan(*this, from, hi, limit, sink);
     }
-    const OpCounters& counters() const { return ctr_; }
+    friend ReadPath read_path(const Handle& h) { return h.read_; }
 
     /// Fault injection (see faults.hpp): op-level kinds run a
-    /// deliberately botched remove of `key`; lease-level kinds crash
-    /// the reclaim handle itself. Only destruction may follow.
-    void abandon(faults::FaultKind k, long key) {
-      list_->do_abandon(*this, k, key);
+    /// deliberately botched remove of `key` and return whether it took
+    /// effect; lease-level kinds crash the reclaim handle itself and
+    /// return nullopt. Only destruction may follow.
+    std::optional<bool> abandon(faults::FaultKind k, long key) {
+      return list_->do_abandon(*this, k, key);
     }
 
     Handle(Handle&&) = default;  // MaybeOwned re-seats its pointer
@@ -202,7 +182,7 @@ class ListFamily {
     // Stand-alone handles own their reclaim handle; shard handles
     // borrow the one their worker leased for the whole sharded set.
     reclaim::MaybeOwned<ReclaimHandle> rh_;
-    OpCounters ctr_;
+    ReadPath read_;
     Node* cursor_ = nullptr;
     unsigned hint_tick_ = 0;  // throttles hint publishes (1 in 8 ops)
   };
@@ -360,7 +340,7 @@ class ListFamily {
     }
     Node* g = hint_start<kHazards>(hints_, *h.rh_, key);
     Node* s = start::tighter(head_, c, g);
-    if (s != head_ && s == g) ++h.ctr_.hint_hits;
+    if (s != head_ && s == g) ++h.read_.hint_hits;
     return s;
   }
 
@@ -423,7 +403,7 @@ class ListFamily {
           refresh_back(last, prev);  // HP: last is walk-slot protected
           retire_run(hints_, *h.rh_, first, last);
         },
-        &h.ctr_.restarts);
+        &h.read_.restarts);
   }
 
   bool do_add(Handle& h, long key) {
@@ -515,22 +495,20 @@ class ListFamily {
     return true;
   }
 
-  /// Fault dispatch (Handle::abandon). The op-level kinds count as a
-  /// remove attempt in the handle's ledger -- their logical removal
-  /// really happens, so the population conservation check
-  /// (prefill + adds - rems == size) keeps balancing across crashes.
-  /// They deliberately leave the reclaim lease healthy: each fault
-  /// kind isolates one recovery path (combine with a lease-level
-  /// abandon on another worker to test both at once).
-  void do_abandon(Handle& h, faults::FaultKind k, long key) {
-    if (faults::is_op_fault(k)) {
-      ++h.ctr_.rem_calls;
-      h.ctr_.rems += k == faults::FaultKind::kMidOpAbandon
-                         ? do_remove_abandoned(h, key)
-                         : do_remove_leaky(h, key);
-    } else {
+  /// Fault dispatch (Handle::abandon). The op-level kinds are a remove
+  /// attempt (core::Counted counts it) whose logical removal really
+  /// happens, so the population conservation check (prefill + adds -
+  /// rems == size) keeps balancing across crashes. They deliberately
+  /// leave the reclaim lease healthy: each fault kind isolates one
+  /// recovery path (combine with a lease-level abandon on another
+  /// worker to test both at once).
+  std::optional<bool> do_abandon(Handle& h, faults::FaultKind k, long key) {
+    if (!faults::is_op_fault(k)) {
       h.rh_->abandon(k);
+      return std::nullopt;
     }
+    return k == faults::FaultKind::kMidOpAbandon ? do_remove_abandoned(h, key)
+                                                 : do_remove_leaky(h, key);
   }
 
   /// kMidOpAbandon: win the remove's marking CAS, then vanish -- no
@@ -587,7 +565,7 @@ class ListFamily {
     }
   }
 
-  /// The scan primitive behind range_scan()/ascend(): emit live keys
+  /// The scan primitive behind Handle::scan_raw: emit live keys
   /// in [from, hi], at most `limit` (< 0 = unbounded). Protocol per
   /// policy: the arena walks freely, EBR pins once for the whole scan
   /// (the guard below), HP runs the re-anchoring hazard scan. Scans
@@ -602,15 +580,15 @@ class ListFamily {
           [&] {
             Node* g = hint_start<kHazards>(hints_, *h.rh_, from);
             if (g == nullptr) return head_;
-            ++h.ctr_.hint_hits;
+            ++h.read_.hint_hits;
             return g;  // validated key < from, kAnchor-covered
           },
-          &h.ctr_.restarts);
+          &h.read_.restarts);
     } else {
       // A validated hint with key < from is a correct pseudo-head for
       // the plain scan: every key it skips is below the range.
       Node* g = hint_start<kHazards>(hints_, *h.rh_, from);
-      if (g != nullptr) ++h.ctr_.hint_hits;
+      if (g != nullptr) ++h.read_.hint_hits;
       return scan::plain_scan(g != nullptr ? g : head_, from, hi, limit,
                               sink);
     }

@@ -75,6 +75,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -142,44 +143,25 @@ class UnrolledFamilyList {
   static constexpr int kMergeCombined = kK / 2;
 
  public:
+  /// Uncounted: core::Counted keeps the op ledger over this handle.
   class Handle {
    public:
-    bool add(long key) {
-      ++ctr_.add_calls;
-      const bool ok = list_->do_add(*this, key);
-      ctr_.adds += ok;
-      return ok;
-    }
+    bool add(long key) { return list_->do_add(*this, key); }
     bool remove(long key) {
-      ++ctr_.rem_calls;
-      const bool ok = list_->remove_impl(*this, key, RemoveMode::kNormal);
-      ctr_.rems += ok;
-      return ok;
+      return list_->remove_impl(*this, key, RemoveMode::kNormal);
     }
-    bool contains(long key) {
-      ++ctr_.con_calls;
-      const bool ok = list_->do_contains(*this, key);
-      ctr_.cons += ok;
-      return ok;
-    }
-    long range_scan(long lo, long hi, const KeySink& sink) {
-      return counted_range_scan(*this, ctr_, lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) {
-      return counted_ascend(*this, ctr_, from, limit);
-    }
-    /// Uncounted paging primitive: the sharded k-way merge drives this
-    /// per shard and counts once per logical scan at the set level.
+    bool contains(long key) { return list_->do_contains(*this, key); }
     long scan_raw(long from, long hi, long limit, const KeySink& sink) {
       return list_->do_scan(*this, from, hi, limit, sink);
     }
-    const OpCounters& counters() const { return ctr_; }
+    friend ReadPath read_path(const Handle& h) { return h.read_; }
 
     /// Fault injection (see faults.hpp): op-level kinds run a
-    /// deliberately botched remove of `key`; lease-level kinds crash
-    /// the reclaim handle itself. Only destruction may follow.
-    void abandon(faults::FaultKind k, long key) {
-      list_->do_abandon(*this, k, key);
+    /// deliberately botched remove of `key` and return whether it took
+    /// effect; lease-level kinds crash the reclaim handle itself and
+    /// return nullopt. Only destruction may follow.
+    std::optional<bool> abandon(faults::FaultKind k, long key) {
+      return list_->do_abandon(*this, k, key);
     }
 
     Handle(Handle&&) = default;  // MaybeOwned re-seats its pointer
@@ -195,7 +177,7 @@ class UnrolledFamilyList {
 
     UnrolledFamilyList* list_;
     reclaim::MaybeOwned<ReclaimHandle> rh_;
-    OpCounters ctr_;
+    ReadPath read_;
     unsigned hint_tick_ = 0;  // throttles hint publishes (1 in 8 ops)
   };
 
@@ -458,7 +440,7 @@ class UnrolledFamilyList {
     auto hinted_start = [&] {
       Node* g = hint_start<kHazards>(hints_, *h.rh_, probe);
       if (g == nullptr) return head_;
-      ++h.ctr_.hint_hits;
+      ++h.read_.hint_hits;
       return g;  // validated anchor < probe (HP: kAnchor-covered)
     };
     return walk<Traversal::kMild, Backoff::kNone, kMutate, Node>(
@@ -478,7 +460,7 @@ class UnrolledFamilyList {
         [&](Node*, Node* first, Node* last) {
           retire_run(hints_, *h.rh_, first, last);
         },
-        &h.ctr_.restarts);
+        &h.read_.restarts);
   }
 
   /// Route to the covering node of `key` -- the last unmarked node with
@@ -613,12 +595,12 @@ class UnrolledFamilyList {
       lock_node(a);
       if (a->next.load().marked) {  // emptied under us; re-route
         unlock_node(a);
-        ++h.ctr_.restarts;
+        ++h.read_.restarts;
         continue;
       }
       if (ensure_coverage(h, a, key) == Cov::kLost) {
         unlock_node(a);
-        ++h.ctr_.restarts;
+        ++h.read_.restarts;
         continue;
       }
       const int cnt = a->count.load(std::memory_order_relaxed);
@@ -685,12 +667,12 @@ class UnrolledFamilyList {
       lock_node(a);
       if (a->next.load().marked) {
         unlock_node(a);
-        ++h.ctr_.restarts;
+        ++h.read_.restarts;
         continue;
       }
       if (ensure_coverage(h, a, key) == Cov::kLost) {
         unlock_node(a);
-        ++h.ctr_.restarts;
+        ++h.read_.restarts;
         continue;
       }
       const int cnt = a->count.load(std::memory_order_relaxed);
@@ -736,23 +718,23 @@ class UnrolledFamilyList {
   }
 
   /// Fault dispatch (Handle::abandon), mirroring the singly family:
-  /// op-level kinds count as a remove attempt so the population
-  /// conservation check keeps balancing across crashes. kMidOpAbandon
-  /// skips all physical cleanup (no sweep, no merge); kRetireSkipped
-  /// completes the unlink but leaks the node past limbo. Neither fires
-  /// the fat-node-specific paths unless the remove actually empties
-  /// its node -- a non-emptying faulted remove degrades to a plain
-  /// remove, exactly like a failed unlink degrades in the singly
-  /// family.
-  void do_abandon(Handle& h, faults::FaultKind k, long key) {
-    if (faults::is_op_fault(k)) {
-      ++h.ctr_.rem_calls;
-      h.ctr_.rems += k == faults::FaultKind::kMidOpAbandon
-                         ? remove_impl(h, key, RemoveMode::kAbandon)
-                         : remove_impl(h, key, RemoveMode::kLeaky);
-    } else {
+  /// op-level kinds are a remove attempt (core::Counted counts it) so
+  /// the population conservation check keeps balancing across crashes.
+  /// kMidOpAbandon skips all physical cleanup (no sweep, no merge);
+  /// kRetireSkipped completes the unlink but leaks the node past limbo.
+  /// Neither fires the fat-node-specific paths unless the remove
+  /// actually empties its node -- a non-emptying faulted remove
+  /// degrades to a plain remove, exactly like a failed unlink degrades
+  /// in the singly family.
+  std::optional<bool> do_abandon(Handle& h, faults::FaultKind k, long key) {
+    if (!faults::is_op_fault(k)) {
       h.rh_->abandon(k);
+      return std::nullopt;
     }
+    return remove_impl(h, key,
+                       k == faults::FaultKind::kMidOpAbandon
+                           ? RemoveMode::kAbandon
+                           : RemoveMode::kLeaky);
   }
 
   /// CAS-free contains. A hit in a validated snapshot of an unmarked
@@ -770,7 +752,7 @@ class UnrolledFamilyList {
       if (a == head_) return false;  // no covering node observed
       const NodeView v = read_node(a);  // HP: a is kAnchor-protected
       if (v.marked) {  // emptied under us; re-route
-        ++h.ctr_.restarts;
+        ++h.read_.restarts;
         continue;
       }
       if (view_contains(v, key)) {
@@ -786,11 +768,11 @@ class UnrolledFamilyList {
           a->version.load(std::memory_order_acquire) == v.version;
       if constexpr (kHazards) hazard::release_cursor(*h.rh_, this);
       if (confirmed) return false;
-      ++h.ctr_.restarts;
+      ++h.read_.restarts;
     }
   }
 
-  /// The scan primitive behind range_scan()/ascend(): emit live keys
+  /// The scan primitive behind Handle::scan_raw: emit live keys
   /// in [from, hi], at most `limit` (< 0 = unbounded). Per-node
   /// emission comes from a version-validated snapshot, so a node's
   /// keys are observed atomically; across nodes the usual per-key
@@ -848,7 +830,7 @@ class UnrolledFamilyList {
         }
         cur = v.next;
       }
-      ++h.ctr_.restarts;  // lost the anchor or met a corpse: from the head
+      ++h.read_.restarts;  // lost the anchor or met a corpse: from the head
     }
   }
 

@@ -35,41 +35,20 @@ struct HasShardCount<
     : std::true_type {};
 
 /// Adapts any concrete structure with the
-/// make_handle()/validate()/size()/snapshot() shape to core::ISet.
+/// make_handle()/validate()/size()/snapshot() shape to core::ISet; its
+/// handles are handed out wrapped in the op ledger (core::Counted).
 /// Owns its id as a string: sharded ids (`.../shN`) are composed at
 /// parse time and have no static storage to point into.
 template <typename Structure>
 class SetAdapter final : public core::ISet {
-  class HandleAdapter final : public core::ISetHandle {
-   public:
-    explicit HandleAdapter(typename Structure::Handle h)
-        : h_(std::move(h)) {}
-    bool add(long key) override { return h_.add(key); }
-    bool remove(long key) override { return h_.remove(key); }
-    bool contains(long key) override { return h_.contains(key); }
-    long range_scan(long lo, long hi, const core::KeySink& sink) override {
-      return h_.range_scan(lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) override {
-      return h_.ascend(from, limit);
-    }
-    core::OpCounters counters() const override { return h_.counters(); }
-    void abandon(faults::FaultKind k, long key) override {
-      if constexpr (core::HasAbandon<typename Structure::Handle>::value)
-        h_.abandon(k, key);
-    }
-
-   private:
-    typename Structure::Handle h_;
-  };
-
  public:
   template <typename... Args>
   explicit SetAdapter(std::string id, Args&&... args)
       : id_(std::move(id)), inner_(std::forward<Args>(args)...) {}
 
   std::unique_ptr<core::ISetHandle> make_handle() override {
-    return std::make_unique<HandleAdapter>(inner_.make_handle());
+    return std::make_unique<core::Counted<typename Structure::Handle>>(
+        inner_.make_handle());
   }
   bool validate(std::string* err) const override {
     return inner_.validate(err);

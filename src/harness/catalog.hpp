@@ -46,8 +46,10 @@ const std::vector<std::string_view>& figure_variant_ids();
 /// Every id make_set accepts (tests iterate this).
 const std::vector<std::string_view>& all_variant_ids();
 
-/// The `<variant>/<reclaimer>` grid: every paper variant under ebr and
-/// hp reclamation (the stress tier and bench_soak iterate this).
+/// Every registered id with a reclaimer segment: the six paper
+/// variants and unrolled_k8, each under ebr and hp reclamation
+/// (test_faults, test_soak, test_linearizability and
+/// test_reclaim_churn iterate this).
 const std::vector<std::string_view>& reclaim_variant_ids();
 
 /// The sharded showcase grid: every `<variant>/<reclaimer>` id behind

@@ -507,25 +507,22 @@ void Server::stop() {
 
 std::string Server::info() const {
   long calls[harness::kNumOpClasses] = {};
-  long frames = 0, active = 0, closed = 0, proto_errors = 0;
+  long active = 0;
   const ServerStats st = stats();
   for (const auto& w : workers_) {
     for (int c = 0; c < harness::kNumOpClasses; ++c)
       calls[c] += w->dispatched[c].load(std::memory_order_relaxed);
-    frames += w->frames.load(std::memory_order_relaxed);
     active += w->active.load(std::memory_order_relaxed);
-    closed += w->closed.load(std::memory_order_relaxed);
-    proto_errors += w->proto_errors.load(std::memory_order_relaxed);
   }
   const faults::BlastStats blast = set_->blast_stats();
   std::ostringstream os;
   os << "set:" << cfg_.set_id << "\n"
      << "workers:" << cfg_.workers << "\n"
-     << "accepted:" << accepted_.load(std::memory_order_relaxed) << "\n"
+     << "accepted:" << st.accepted << "\n"
      << "active_conns:" << active << "\n"
-     << "closed_conns:" << closed << "\n"
-     << "frames:" << frames << "\n"
-     << "protocol_errors:" << proto_errors << "\n"
+     << "closed_conns:" << st.closed << "\n"
+     << "frames:" << st.frames << "\n"
+     << "protocol_errors:" << st.protocol_errors << "\n"
      << "add_calls:" << calls[static_cast<int>(harness::OpClass::kAdd)]
      << "\n"
      << "rem_calls:" << calls[static_cast<int>(harness::OpClass::kRemove)]
@@ -535,8 +532,8 @@ std::string Server::info() const {
      << "scan_calls:" << calls[static_cast<int>(harness::OpClass::kScan)]
      << "\n"
      << "total_ops:" << calls[0] + calls[1] + calls[2] + calls[3] << "\n"
-     << "faults:" << faults_fired_.load(std::memory_order_relaxed) << "\n"
-     << "reaps:" << reaps_.load(std::memory_order_relaxed) << "\n"
+     << "faults:" << st.faults_fired << "\n"
+     << "reaps:" << st.reaps << "\n"
      << "limbo:" << set_->limbo_nodes() << "\n"
      << "crashed_slots:" << blast.crashed_slots << "\n"
      << "leaked_cells:" << blast.leaked_cells << "\n"

@@ -38,6 +38,7 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -69,46 +70,40 @@ class ShardedSet {
   using Reclaim = typename Engine::Reclaim;
   using ReclaimHandle = typename Engine::ReclaimHandle;
 
+  /// Uncounted like the engine handles it routes to: core::Counted
+  /// keeps the whole-set op ledger, one entry per call, whatever the
+  /// fan-out. The handle itself counts only the ops routed to each
+  /// shard, for shard_ops().
   class Handle {
    public:
-    bool add(long key) { return handles_[set_->shard_of(key)].add(key); }
-    bool remove(long key) {
-      return handles_[set_->shard_of(key)].remove(key);
-    }
-    bool contains(long key) {
-      return handles_[set_->shard_of(key)].contains(key);
-    }
+    bool add(long key) { return route(key).add(key); }
+    bool remove(long key) { return route(key).remove(key); }
+    bool contains(long key) { return route(key).contains(key); }
 
     // A global ordered scan over a hash partition is a k-way merge:
     // every shard holds an arbitrary subset of [lo, hi], so each shard
     // contributes an ascending cursor (paged through the engines'
-    // uncounted scan_raw primitive) and the merge emits the minimum
-    // across cursors. All per-shard pages run under this worker's ONE
-    // borrowed reclaim handle, one page at a time -- under EBR each
-    // page is one epoch pin (the merge never holds a pin across the
-    // whole scan), under HP each page re-anchors per step as usual.
-    // Keys are unique across shards (the partition routes each key to
-    // exactly one shard), so the merge needs no duplicate handling.
-    long range_scan(long lo, long hi, const core::KeySink& sink) {
-      return core::counted_range_scan(*this, scan_ctr_, lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) {
-      return core::counted_ascend(*this, scan_ctr_, from, limit);
-    }
-    /// Uncounted merge primitive (the counted forms above delegate
-    /// here, like every engine handle's scan_raw).
+    // scan_raw) and the merge emits the minimum across cursors. All
+    // per-shard pages run under this worker's ONE borrowed reclaim
+    // handle, one page at a time -- under EBR each page is one epoch
+    // pin (the merge never holds a pin across the whole scan), under
+    // HP each page re-anchors per step as usual. Keys are unique
+    // across shards (the partition routes each key to exactly one
+    // shard), so the merge needs no duplicate handling.
     long scan_raw(long from, long hi, long limit,
                   const core::KeySink& sink) {
       return merge_scan(from, hi, limit, sink);
     }
 
-    core::OpCounters counters() const {
-      // Point ops live in the per-shard engine ledgers; scans are
-      // whole-set operations counted here (never per shard, which
-      // would inflate scan_calls by the page fan-out).
-      core::OpCounters agg = scan_ctr_;
-      for (const auto& h : handles_) agg += h.counters();
-      return agg;
+    friend core::ReadPath read_path(const Handle& h) {
+      using core::read_path;  // the zero default for non-engine shards
+      core::ReadPath sum;
+      for (const auto& shard : h.handles_) {
+        const core::ReadPath rp = read_path(shard);
+        sum.hint_hits += rp.hint_hits;
+        sum.restarts += rp.restarts;
+      }
+      return sum;
     }
 
     /// Fault injection: op-level kinds route to `key`'s shard like any
@@ -116,30 +111,29 @@ class ShardedSet {
     /// worker leased for the whole set -- which is the point: a single
     /// crashed worker's blast radius covers every shard at once,
     /// because reclamation state is per thread, not per shard.
-    void abandon(faults::FaultKind k, long key) {
-      if (faults::is_op_fault(k)) {
-        // The Michael list has no op-level fault path: for it an
-        // op-level "crash" degrades to a clean no-op.
-        if constexpr (core::HasAbandon<typename Engine::Handle>::value)
-          handles_[set_->shard_of(key)].abandon(k, key);
-      } else {
+    std::optional<bool> abandon(faults::FaultKind k, long key) {
+      if (!faults::is_op_fault(k)) {
         rh_->abandon(k);
+        return std::nullopt;
       }
+      // The Michael list has no op-level fault path: for it an
+      // op-level "crash" degrades to a clean no-op.
+      if constexpr (core::HasAbandon<typename Engine::Handle>::value)
+        return route(key).abandon(k, key);
+      return std::nullopt;
     }
 
     // Default move is safe: the engine handles point at *rh_, whose
-    // heap address survives the move (a moved-from handles_ is empty,
+    // heap address survives the move (a moved-from routed_ is empty,
     // so the moved-from destructor folds nothing).
     Handle(Handle&&) = default;
     Handle(const Handle&) = delete;
     Handle& operator=(const Handle&) = delete;
 
     ~Handle() {
-      // Fold the per-shard ledgers (each engine handle's own counters)
-      // into the set's quiescent totals.
-      for (std::size_t s = 0; s < handles_.size(); ++s)
-        set_->shard_ops_[s].fetch_add(handles_[s].counters().total_ops(),
-                                      std::memory_order_relaxed);
+      // Fold the per-shard op counts into the set's quiescent totals.
+      for (std::size_t s = 0; s < routed_.size(); ++s)
+        set_->shard_ops_[s].fetch_add(routed_[s], std::memory_order_relaxed);
       // Members die in reverse order: the borrowing engine handles
       // first, the owned reclaim handle (departure protocol: final
       // scan/collect, orphan hand-off, slot release) last.
@@ -149,10 +143,18 @@ class ShardedSet {
     friend class ShardedSet;
     explicit Handle(ShardedSet* set)
         : set_(set),
-          rh_(std::make_unique<ReclaimHandle>(set->domain_->make_handle())) {
+          rh_(std::make_unique<ReclaimHandle>(set->domain_->make_handle())),
+          routed_(set->shards_.size()) {
       handles_.reserve(set->shards_.size());
       for (auto& engine : set->shards_)
         handles_.push_back(engine->make_handle(*rh_));
+    }
+
+    /// `key`'s shard handle, counting the op routed to it.
+    typename Engine::Handle& route(long key) {
+      const std::size_t s = set_->shard_of(key);
+      ++routed_[s];
+      return handles_[s];
     }
 
     /// Keys per scan_raw page. Large enough that refills are rare on
@@ -221,7 +223,7 @@ class ShardedSet {
     // are destroyed before the handle they borrow.
     std::unique_ptr<ReclaimHandle> rh_;
     std::vector<typename Engine::Handle> handles_;
-    core::OpCounters scan_ctr_;  // whole-set scan ledger (see counters)
+    std::vector<long> routed_;  // ops routed per shard (see shard_ops)
   };
 
   explicit ShardedSet(int shards,

@@ -42,38 +42,16 @@ class SkipListT {
   };
 
  public:
+  /// Uncounted: core::Counted keeps the op ledger over this handle.
   class Handle {
    public:
-    bool add(long key) {
-      ++ctr_.add_calls;
-      const bool ok = list_->do_add(*this, key);
-      ctr_.adds += ok;
-      return ok;
-    }
-    bool remove(long key) {
-      ++ctr_.rem_calls;
-      const bool ok = list_->do_remove(*this, key);
-      ctr_.rems += ok;
-      return ok;
-    }
-    bool contains(long key) {
-      ++ctr_.con_calls;
-      const bool ok = list_->do_contains(key);
-      ctr_.cons += ok;
-      return ok;
-    }
-    long range_scan(long lo, long hi, const core::KeySink& sink) {
-      return core::counted_range_scan(*this, ctr_, lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) {
-      return core::counted_ascend(*this, ctr_, from, limit);
-    }
-    /// Uncounted paging primitive (mirrors the list engines' surface).
+    bool add(long key) { return list_->do_add(*this, key); }
+    bool remove(long key) { return list_->do_remove(*this, key); }
+    bool contains(long key) { return list_->do_contains(key); }
     long scan_raw(long from, long hi, long limit,
                   const core::KeySink& sink) {
       return list_->do_scan(from, hi, limit, sink);
     }
-    const core::OpCounters& counters() const { return ctr_; }
 
    private:
     friend class SkipListT;
@@ -82,7 +60,6 @@ class SkipListT {
 
     SkipListT* list_;
     workload::Rng rng_;
-    core::OpCounters ctr_;
   };
 
   SkipListT() : head_(new Node(std::numeric_limits<long>::min(), kMaxHeight)) {
@@ -285,7 +262,7 @@ class SkipListT {
     return true;
   }
 
-  /// The scan primitive behind range_scan()/ascend(): O(log n) index
+  /// The scan primitive behind Handle::scan_raw: O(log n) index
   /// descent to a level-0 predecessor of `from` (read-only, stepping
   /// over marked nodes -- no CAS even in the draconic flavor), then a
   /// level-0 walk emitting live keys in [from, hi], at most `limit`

@@ -147,8 +147,13 @@ TEST(Catalog, PaperVariantsAreTheSixRows) {
   EXPECT_EQ(harness::variant_letter("nonsense"), "-");
 }
 
+// Every catalog id, plus sharded ids over each engine kind, counts its
+// point ops through the one ledger: attempts and successes per class.
 TEST(Catalog, EveryIdConstructsAWorkingSet) {
-  for (const auto id : harness::all_variant_ids()) {
+  std::vector<std::string_view> ids = harness::all_variant_ids();
+  ids.insert(ids.end(), {"singly/ebr/sh4", "unrolled_k8/hp/sh2",
+                         "hp_michael/sh2"});
+  for (const auto id : ids) {
     auto set = harness::make_set(id);
     ASSERT_NE(set, nullptr) << id;
     EXPECT_EQ(set->name(), id);
@@ -161,6 +166,15 @@ TEST(Catalog, EveryIdConstructsAWorkingSet) {
     EXPECT_EQ(set->size(), 1u);
     std::string err;
     EXPECT_TRUE(set->validate(&err)) << id << ": " << err;
+    const core::OpCounters c = h->counters();
+    EXPECT_EQ(c.add_calls, 3) << id;
+    EXPECT_EQ(c.adds, 2) << id;
+    EXPECT_EQ(c.con_calls, 1) << id;
+    EXPECT_EQ(c.cons, 1) << id;
+    EXPECT_EQ(c.rem_calls, 1) << id;
+    EXPECT_EQ(c.rems, 1) << id;
+    EXPECT_EQ(c.scan_calls, 0) << id;
+    EXPECT_EQ(c.total_ops(), 5) << id;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
@@ -131,9 +132,10 @@ TEST_P(EveryScannable, AscendPagesTheWholeKeySpace) {
   }
   EXPECT_EQ(paged, set->snapshot()) << GetParam();
 
-  // Degenerate pages.
+  // Degenerate pages; a limit past LONG_MAX means "all the rest".
   EXPECT_TRUE(h->ascend(0, 0).empty());
   EXPECT_TRUE(h->ascend(kUniverse + 1000, 8).empty());
+  EXPECT_EQ(h->ascend(0, SIZE_MAX), set->snapshot()) << GetParam();
 }
 
 TEST_P(EveryScannable, ScanCountersLedger) {

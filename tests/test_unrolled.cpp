@@ -155,7 +155,7 @@ TYPED_TEST(UnrolledNode, DuplicateRejectedInsideFatNode) {
 
 TYPED_TEST(UnrolledNode, AscendPagesResumeMidNode) {
   TypeParam list;
-  auto h = list.make_handle();
+  core::Counted<typename TypeParam::Handle> h{list.make_handle()};
   const long n = 40;  // several fat nodes
   for (long k = 0; k < n; ++k) ASSERT_TRUE(h.add(k));
   // Page through with limits that never align with node boundaries
@@ -181,7 +181,7 @@ TYPED_TEST(UnrolledNode, AscendPagesResumeMidNode) {
 
 TYPED_TEST(UnrolledNode, ScanStrictlyAscendingAcrossSplits) {
   TypeParam list;
-  auto h = list.make_handle();
+  core::Counted<typename TypeParam::Handle> h{list.make_handle()};
   // Insert in an order that splits repeatedly and leaves keys woven
   // across many nodes: evens first, then odds (each odd lands inside
   // an existing full-ish node).
@@ -215,7 +215,7 @@ TYPED_TEST(UnrolledNode, ExtremeKeysRoundTrip) {
   constexpr long kMin = std::numeric_limits<long>::min();
   constexpr long kMax = std::numeric_limits<long>::max();
   TypeParam list;
-  auto h = list.make_handle();
+  core::Counted<typename TypeParam::Handle> h{list.make_handle()};
   auto scan = [&](long lo, long hi) {
     std::vector<long> got;
     h.range_scan(lo, hi, [&](long k) { got.push_back(k); });

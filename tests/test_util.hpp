@@ -70,12 +70,13 @@ class ReproOnFailure {
 
 /// Uniform single-threaded facade over both API styles: the lock-free
 /// lists (operations live on a per-thread Handle) and the sequential
-/// baselines (operations live on the list itself). Gives the typed
+/// baselines (operations live on the list itself). Both count through
+/// core::Counted, the ledger every catalog handle uses. Gives the typed
 /// tests one shape for all eight structures.
 template <typename List>
 struct HandleFacade {
   List list;
-  typename List::Handle h{list.make_handle()};
+  core::Counted<typename List::Handle> h{list.make_handle()};
 
   bool add(long k) { return h.add(k); }
   bool remove(long k) { return h.remove(k); }
@@ -88,15 +89,17 @@ struct HandleFacade {
 
 template <typename List>
 struct DirectFacade {
-  List list;
+  core::Counted<List> list{List()};  // a sequential list is its own handle
 
   bool add(long k) { return list.add(k); }
   bool remove(long k) { return list.remove(k); }
   bool contains(long k) { return list.contains(k); }
   core::OpCounters counters() const { return list.counters(); }
-  std::vector<long> snapshot() const { return list.snapshot(); }
-  std::size_t size() const { return list.size(); }
-  bool validate(std::string* err) const { return list.validate(err); }
+  std::vector<long> snapshot() const { return list.inner().snapshot(); }
+  std::size_t size() const { return list.inner().size(); }
+  bool validate(std::string* err) const {
+    return list.inner().validate(err);
+  }
 };
 
 inline std::vector<long> sorted_unique(std::vector<long> keys) {

@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
   for (const auto& token : opt.get_string_list("dist", {"uniform"}))
     dists.push_back(parse_dist(token));
 
-  if (!bench::all_flags_read(opt)) return 2;
+  if (!harness::all_flags_read(opt)) return 2;
 
   std::vector<std::string> cells;
   for (const auto& g : bench::expand_grid(variants, reclaimers, shards,

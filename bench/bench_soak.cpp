@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
       variants, opt.get_string_list("reclaim", {"ebr", "hp"}),
       opt.get_longs("shards", {1}));
   for (const auto& id : ids) cells.push_back({id, "", "", 0, ""});
-  if (!bench::all_flags_read(opt)) return 2;
+  if (!harness::all_flags_read(opt)) return 2;
   PRAGMALIST_CHECK(!cells.empty(), "the grid has no cells");
 
   const std::string schedule(soak_schedule_name(cfg.schedule));

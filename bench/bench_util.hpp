@@ -41,16 +41,6 @@ inline void emit_csv(const std::string& filename,
   std::cout << "csv: " << filename << "\n";
 }
 
-/// Typo guard for the grid runners: report every flag no getter looked
-/// up and return false (the caller exits 2), so `--twin nohint` cannot
-/// quietly run a different grid. Call after every option is read.
-inline bool all_flags_read(const harness::Options& opt) {
-  const std::vector<std::string> unknown = opt.unread();
-  for (const auto& name : unknown)
-    std::cerr << opt.program() << ": unknown flag --" << name << "\n";
-  return unknown.empty();
-}
-
 /// The per-op-class latency CSV columns bench_grid and bench_soak
 /// append to their rows: for each class in add,remove,contains,scan,
 /// `<class>_count,_p50_ns,_p90_ns,_p99_ns,_p999_ns,_max_ns`. Each name

@@ -53,6 +53,14 @@ std::vector<std::string> Options::unread() const {
   return names;
 }
 
+bool all_flags_read(const Options& opt) {
+  const std::vector<std::string> unknown = opt.unread();
+  for (const auto& name : unknown)
+    std::fprintf(stderr, "%s: unknown flag --%s\n", opt.program().c_str(),
+                 name.c_str());
+  return unknown.empty();
+}
+
 int Options::get_int(const std::string& name, int def) const {
   return static_cast<int>(get_long(name, def));
 }

@@ -1,8 +1,8 @@
 // Tiny CLI parser for the bench binaries. Flags are `--name value`,
 // `--name=value`, or bare `--name` (boolean). Parsing accepts any flag
 // and every getter marks the flag it looks up as read; unread() lists
-// the rest, so a binary can reject a mistyped flag (bench_grid aborts
-// on one) instead of silently running with its default.
+// the rest, so a binary can reject a mistyped flag (all_flags_read)
+// instead of silently running with its default.
 #pragma once
 
 #include <cstdint>
@@ -81,5 +81,11 @@ class Options {
   std::string program_;
   std::vector<Flag> flags_;
 };
+
+/// Typo guard: report every flag no getter looked up on stderr and
+/// return false (the caller exits 2), so `--twin nohint` cannot quietly
+/// run a different grid and `pragmalistd --help` cannot start a server.
+/// Call after every option is read, before doing any work.
+bool all_flags_read(const Options& opt);
 
 }  // namespace pragmalist::harness

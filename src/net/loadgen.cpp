@@ -143,11 +143,13 @@ class Engine {
       // Closed loop wakes on replies, with a 1 ms tick for the stop,
       // churn and drain checks. Paced mode also wakes at the next due
       // send: a 1 ms tick would charge up to 1 ms of generator
-      // lateness to every sample.
-      const int n = period_ns_ != 0 && !draining_run
-                        ? ep_.wait_ns(evs, 256, pace_timeout_ns())
-                        : ep_.wait(evs, 256, 1);
-      for (int i = 0; i < n; ++i) {
+      // lateness to every sample. Either way the wait spins first
+      // (never past that timeout), so a reply already on its way
+      // costs no sleep/wake cycle.
+      const SpinWait w = ep_.wait_spin(
+          evs, 256,
+          period_ns_ != 0 && !draining_run ? pace_timeout_ns() : kTickNs);
+      for (int i = 0; i < w.n; ++i) {
         auto* slot = static_cast<Slot*>(evs[i].data.ptr);
         handle_event(*slot, evs[i].events);
       }
@@ -263,8 +265,7 @@ class Engine {
 
   /// Paced mode: time until the earliest idle connection's next
   /// intended send, capped at the 1 ms tick.
-  std::uint64_t pace_timeout_ns() const {
-    constexpr std::uint64_t kTickNs = 1'000'000;
+  std::int64_t pace_timeout_ns() const {
     const std::uint64_t now = lat_now_ns();
     std::uint64_t wait = kTickNs;
     for (const auto& s : slots_) {
@@ -274,7 +275,7 @@ class Engine {
       if (due <= now) return 0;
       wait = std::min(wait, due - now);
     }
-    return wait;
+    return static_cast<std::int64_t>(wait);
   }
 
   /// Paced schedule slot of the connection's next op.
@@ -418,6 +419,10 @@ class Engine {
       ep_.mod(s.fd.get(), EPOLLIN, &s);
     }
   }
+
+  /// The event loop's longest sleep: the stop, churn and drain checks
+  /// run at least this often.
+  static constexpr std::int64_t kTickNs = 1'000'000;
 
   Shared* sh_;
   const LoadGenConfig& cfg_;

@@ -21,8 +21,9 @@
 //   --seed s             workload seed           (1)
 //   --no-check-ledger    skip the final INFO ledger comparison
 //
-// Exit: 0 on success, 1 when the server was unreachable, 2 when the
-// ledger check ran and MISMATCHed (the CI gate).
+// Exit: 0 on success, 1 when the server was unreachable, 2 on a flag
+// this binary does not know (before any load) or when the ledger check
+// ran and MISMATCHed (the CI gate).
 #include <cstdio>
 #include <iostream>
 
@@ -64,6 +65,7 @@ int main(int argc, char** argv) {
   cfg.churn_ticks = opt.get_int("churn-ticks", 0);
   cfg.seed = static_cast<std::uint64_t>(opt.get_long("seed", 1));
   cfg.check_ledger = !opt.get_bool("no-check-ledger");
+  if (!harness::all_flags_read(opt)) return 2;
 
   std::printf(
       "loadgen: %s:%d conns=%d threads=%d %s=%ld mix=%d/%d/%d/%d "

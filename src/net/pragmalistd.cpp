@@ -15,6 +15,10 @@
 //   --fault-ordinal n    ops a faulty worker serves before crashing (200)
 //   --reap-delay d       crash detection delay   (50ms; suffix units)
 //   --no-latency         skip service-time histograms
+//
+// Exit: 0 on a clean shutdown, 1 when the port cannot be bound or the
+// shutdown is unclean, 2 on a flag this binary does not know (checked
+// before anything binds).
 #include <csignal>
 #include <cstdio>
 #include <iostream>
@@ -48,13 +52,13 @@ int main(int argc, char** argv) {
       static_cast<int>(opt.get_duration_ms("reap-delay", 50));
   cfg.record_latency = !opt.get_bool("no-latency");
   const int n_faults = opt.get_int("fault-plan", 0);
-  if (n_faults > 0) {
-    const auto seed =
-        static_cast<std::uint64_t>(opt.get_long("fault-seed", 42));
-    const long ordinal = opt.get_long("fault-ordinal", 200);
-    cfg.faults = faults::FaultPlan::mix(seed, n_faults, cfg.workers,
+  const auto fault_seed =
+      static_cast<std::uint64_t>(opt.get_long("fault-seed", 42));
+  const long ordinal = opt.get_long("fault-ordinal", 200);
+  if (!harness::all_flags_read(opt)) return 2;
+  if (n_faults > 0)
+    cfg.faults = faults::FaultPlan::mix(fault_seed, n_faults, cfg.workers,
                                         ordinal, ordinal * 2);
-  }
 
   net::Server server(cfg);
   std::string err;

@@ -136,8 +136,11 @@ ParseStatus FrameParser::next(std::vector<std::string>* args) {
   }
   if (argc < 1) return fail("empty frame");
 
-  std::vector<std::string> out;
-  out.reserve(static_cast<std::size_t>(argc));
+  // Write into the caller's strings: a vector reused across frames
+  // keeps their capacity, so a steady stream allocates nothing here.
+  const auto n_args = static_cast<std::size_t>(argc);
+  if (args->size() > n_args) args->resize(n_args);
+  args->reserve(n_args);
   at = after;
   for (long i = 0; i < argc; ++i) {
     if (at >= end) {
@@ -163,7 +166,11 @@ ParseStatus FrameParser::next(std::vector<std::string>* args) {
     }
     if (buf_[after + n] != '\r' || buf_[after + n + 1] != '\n')
       return fail("bulk payload not CRLF-terminated");
-    out.emplace_back(buf_, after, n);
+    const auto k = static_cast<std::size_t>(i);
+    if (k < args->size())
+      (*args)[k].assign(buf_.data() + after, n);
+    else
+      args->emplace_back(buf_.data() + after, n);
     at = after + n + 2;
   }
 
@@ -174,7 +181,6 @@ ParseStatus FrameParser::next(std::vector<std::string>* args) {
     buf_.erase(0, pos_);
     pos_ = 0;
   }
-  *args = std::move(out);
   return ParseStatus::kFrame;
 }
 

@@ -77,9 +77,10 @@ void encode_int_array(std::string& out, const std::vector<long>& values);
 
 /// Incremental request-frame parser. feed() appends raw bytes; next()
 /// extracts at most one complete frame per call (call until kNeedMore
-/// to drain a pipelined burst). After kError the stream is poisoned:
-/// error() describes why and next() keeps returning kError until
-/// reset().
+/// to drain a pipelined burst) into *args, reusing its strings; *args
+/// holds the frame only when next() returns kFrame. After kError the
+/// stream is poisoned: error() describes why and next() keeps
+/// returning kError until reset().
 class FrameParser {
  public:
   explicit FrameParser(std::size_t max_frame = kMaxFrame)

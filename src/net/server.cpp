@@ -11,6 +11,7 @@
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "src/common/debug.hpp"
 #include "src/harness/catalog.hpp"
@@ -29,12 +30,33 @@ std::string upper(std::string_view s) {
   return u;
 }
 
+enum class Command { kPing, kInfo, kGet, kSet, kDel, kScan, kUnknown };
+
+/// The command a frame names, matched case-insensitively in place, so
+/// recognising it allocates nothing (upper() is for error replies).
+Command command_of(std::string_view s) {
+  static constexpr std::pair<std::string_view, Command> kCommands[] = {
+      {"GET", Command::kGet},   {"SET", Command::kSet},
+      {"DEL", Command::kDel},   {"SCAN", Command::kScan},
+      {"PING", Command::kPing}, {"INFO", Command::kInfo},
+  };
+  for (const auto& [name, cmd] : kCommands) {
+    if (s.size() != name.size()) continue;
+    bool same = true;
+    for (std::size_t i = 0; same && i < s.size(); ++i)
+      same = std::toupper(static_cast<unsigned char>(s[i])) == name[i];
+    if (same) return cmd;
+  }
+  return Command::kUnknown;
+}
+
 /// True when the frame's command is one of the four set ops (the ones
 /// a FaultPlan ordinal counts).
 bool is_data_op(const std::vector<std::string>& args) {
   if (args.empty()) return false;
-  const std::string cmd = upper(args[0]);
-  return cmd == "GET" || cmd == "SET" || cmd == "DEL" || cmd == "SCAN";
+  const Command cmd = command_of(args[0]);
+  return cmd == Command::kGet || cmd == Command::kSet ||
+         cmd == Command::kDel || cmd == Command::kScan;
 }
 
 }  // namespace
@@ -49,28 +71,29 @@ DispatchOutcome dispatch_request(const std::vector<std::string>& args,
     return res;
   };
   if (args.empty()) return err("ERR empty frame");
-  const std::string cmd = upper(args[0]);
+  const Command cmd = command_of(args[0]);
 
-  if (cmd == "PING") {
+  if (cmd == Command::kPing) {
     if (args.size() != 1) return err("ERR wrong arity for PING");
     protocol::encode_simple(out, "PONG");
     return res;
   }
-  if (cmd == "INFO") {
+  if (cmd == Command::kInfo) {
     if (args.size() != 1) return err("ERR wrong arity for INFO");
     protocol::encode_bulk(out, info ? info() : std::string());
     return res;
   }
-  if (cmd == "GET" || cmd == "SET" || cmd == "DEL") {
-    if (args.size() != 2) return err("ERR wrong arity for " + cmd);
+  if (cmd == Command::kGet || cmd == Command::kSet || cmd == Command::kDel) {
+    if (args.size() != 2)
+      return err("ERR wrong arity for " + upper(args[0]));
     long key = 0;
     if (!protocol::parse_key(args[1], &key))
       return err("ERR key is not an integer");
     bool ok;
-    if (cmd == "SET") {
+    if (cmd == Command::kSet) {
       ok = handle.add(key);
       res.cls = harness::OpClass::kAdd;
-    } else if (cmd == "DEL") {
+    } else if (cmd == Command::kDel) {
       ok = handle.remove(key);
       res.cls = harness::OpClass::kRemove;
     } else {
@@ -81,7 +104,7 @@ DispatchOutcome dispatch_request(const std::vector<std::string>& args,
     protocol::encode_integer(out, ok ? 1 : 0);
     return res;
   }
-  if (cmd == "SCAN") {
+  if (cmd == Command::kScan) {
     if (args.size() != 3) return err("ERR wrong arity for SCAN");
     long from = 0, count = 0;
     if (!protocol::parse_key(args[1], &from) ||
@@ -95,16 +118,18 @@ DispatchOutcome dispatch_request(const std::vector<std::string>& args,
     protocol::encode_int_array(out, keys);
     return res;
   }
-  return err("ERR unknown command '" + cmd + "'");
+  return err("ERR unknown command '" + upper(args[0]) + "'");
 }
 
 // --- worker ----------------------------------------------------------
 
 struct Server::Worker {
-  explicit Worker(Server* s, int idx) : server(s), index(idx) {}
+  explicit Worker(Server* s, int idx)
+      : server(s), index(idx), info([s] { return s->info(); }) {}
 
   Server* server;
   int index;
+  const std::function<std::string()> info;  // INFO body, built once
   std::thread thread;
   Epoll ep;
   WakeFd wake;
@@ -124,11 +149,15 @@ struct Server::Worker {
   std::atomic<long> out_peak{0};
   std::atomic<long> in_peak{0};
   std::atomic<long> trips{0};
+  // Spin-then-park outcomes of this worker's waits (ServerStats).
+  std::atomic<long> polls_spun{0};
+  std::atomic<long> parks{0};
 
   // Written by the worker thread only; read after join.
   core::OpCounters folded;
   harness::LatencyProfile profile;
   bool fault_fired_ = false;  // each plan entry fires at most once
+  std::vector<std::string> args;  // the frame being served; reused
 
   struct Conn {
     explicit Conn(std::size_t max_frame) : parser(max_frame) {}
@@ -154,8 +183,7 @@ struct Server::Worker {
   /// connection); false when a protocol error closed it.
   bool dispatch(int fd, Conn& conn,
                 std::unique_ptr<core::ISetHandle>& handle);
-  void handle_frame(Conn& conn, const std::vector<std::string>& args,
-                    std::unique_ptr<core::ISetHandle>& handle);
+  void handle_frame(Conn& conn, std::unique_ptr<core::ISetHandle>& handle);
   /// Write as much buffered output as the socket takes; false when the
   /// connection died under us.
   bool flush(int fd, Conn& conn);
@@ -179,8 +207,9 @@ void Server::Worker::run() {
   epoll_event evs[64];
   bool running = true;
   while (running) {
-    const int n = ep.wait(evs, 64, -1);
-    for (int i = 0; i < n; ++i) {
+    const SpinWait w = ep.wait_spin(evs, 64, -1);
+    (w.parked ? parks : polls_spun).fetch_add(1, std::memory_order_relaxed);
+    for (int i = 0; i < w.n; ++i) {
       if (evs[i].data.fd == wake.get()) {
         wake.drain();
         adopt_incoming();
@@ -274,11 +303,10 @@ bool Server::Worker::dispatch(int fd, Conn& conn,
   // the high-water mark bounds.
   conn.out.erase(0, conn.out_off);
   conn.out_off = 0;
-  std::vector<std::string> args;
   while (conn.out.size() <= kOutHighWater) {
     const protocol::ParseStatus st = conn.parser.next(&args);
     if (st == protocol::ParseStatus::kFrame) {
-      handle_frame(conn, args, handle);
+      handle_frame(conn, handle);
       continue;
     }
     if (st == protocol::ParseStatus::kError) {
@@ -298,7 +326,6 @@ bool Server::Worker::dispatch(int fd, Conn& conn,
 }
 
 void Server::Worker::handle_frame(Conn& conn,
-                                  const std::vector<std::string>& args,
                                   std::unique_ptr<core::ISetHandle>& handle) {
   frames.fetch_add(1, std::memory_order_relaxed);
 
@@ -332,8 +359,7 @@ void Server::Worker::handle_frame(Conn& conn,
 
   const std::uint64_t t0 =
       server->cfg_.record_latency ? harness::lat_now_ns() : 0;
-  const DispatchOutcome out = dispatch_request(
-      args, *handle, conn.out, [this] { return server->info(); });
+  const DispatchOutcome out = dispatch_request(args, *handle, conn.out, info);
   if (out.data_op) {
     dispatched[static_cast<int>(out.cls)].fetch_add(
         1, std::memory_order_relaxed);
@@ -542,7 +568,9 @@ std::string Server::info() const {
      << "out_buffered:" << st.out_buffered << "\n"
      << "out_peak:" << st.out_peak << "\n"
      << "in_peak:" << st.in_peak << "\n"
-     << "backpressure_trips:" << st.backpressure_trips << "\n";
+     << "backpressure_trips:" << st.backpressure_trips << "\n"
+     << "polls_spun:" << st.polls_spun << "\n"
+     << "parks:" << st.parks << "\n";
   return os.str();
 }
 
@@ -559,6 +587,8 @@ ServerStats Server::stats() const {
     s.in_peak =
         std::max(s.in_peak, w->in_peak.load(std::memory_order_relaxed));
     s.backpressure_trips += w->trips.load(std::memory_order_relaxed);
+    s.polls_spun += w->polls_spun.load(std::memory_order_relaxed);
+    s.parks += w->parks.load(std::memory_order_relaxed);
   }
   s.faults_fired = faults_fired_.load(std::memory_order_relaxed);
   s.reaps = reaps_.load(std::memory_order_relaxed);

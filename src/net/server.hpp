@@ -105,6 +105,10 @@ struct ServerStats {
   long out_peak = 0;
   long in_peak = 0;
   long backpressure_trips = 0;
+  // The workers' spin-then-park waits (Epoll::wait_spin): those an
+  // event ended during the spin, and those that fell back to blocking.
+  long polls_spun = 0;
+  long parks = 0;
 };
 
 class Server {

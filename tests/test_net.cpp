@@ -4,13 +4,17 @@
 // Server on an ephemeral port driven by the real run_loadgen engine,
 // asserting the exact client/server ledger match, a valid structure
 // and a bounded limbo afterwards, plus the injected-crash path
-// (abandon -> -ERR -> re-lease -> supervisor reap) over the wire and
-// the per-connection output bound against a never-reading pipeliner.
+// (abandon -> -ERR -> re-lease -> supervisor reap) over the wire, the
+// per-connection output bound against a never-reading pipeliner, and
+// the spin-then-park wait both event loops share.
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sched.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <set>
@@ -296,6 +300,73 @@ TEST(Dispatch, ScanCountIsClamped) {
   EXPECT_EQ(r.ints.size(), 64u);  // all present keys, clamp held
 }
 
+// --- spin-then-park wait ---------------------------------------------
+
+// An event that arrives while the wait spins is returned without a
+// park; a wait with nothing to return parks and comes back at its
+// timeout, and one whose timeout is shorter than the spin never parks.
+TEST(Epoll, WaitSpinTakesAnEventInTheSpinAndParksWhenIdle) {
+  using Clock = std::chrono::steady_clock;
+  net::Epoll ep;
+  net::WakeFd wake;
+  ep.add(wake.get(), EPOLLIN);
+  epoll_event evs[4];
+
+  // The writer is already running on another CPU when the wait starts
+  // and fires a few microseconds in, well inside the budget. A busy
+  // host can still deschedule it past the budget, so one spun wait in
+  // a few tries decides. With one CPU the writer cannot run during the
+  // spin at all, so that case is not checked there.
+  cpu_set_t cpus;
+  const bool two_cpus = ::sched_getaffinity(0, sizeof(cpus), &cpus) == 0 &&
+                        CPU_COUNT(&cpus) >= 2;
+  bool spun = !two_cpus;
+  for (int attempt = 0; attempt < 20 && !spun; ++attempt) {
+    std::atomic<bool> ready{false}, go{false};
+    std::thread writer([&] {
+      ready.store(true, std::memory_order_release);
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      const auto fire_at = Clock::now() + std::chrono::microseconds(3);
+      while (Clock::now() < fire_at) {
+      }
+      wake.wake();
+    });
+    while (!ready.load(std::memory_order_acquire)) {
+    }
+    go.store(true, std::memory_order_release);
+    const net::SpinWait w = ep.wait_spin(evs, 4, -1);
+    writer.join();
+    ASSERT_EQ(w.n, 1);
+    EXPECT_EQ(evs[0].data.fd, wake.get());
+    spun = !w.parked;
+    wake.drain();
+  }
+  EXPECT_TRUE(spun) << "every wait parked although its event came in "
+                       "the spin";
+
+  const auto t0 = Clock::now();
+  const net::SpinWait idle = ep.wait_spin(evs, 4, 5'000'000);
+  const auto took = Clock::now() - t0;
+  EXPECT_EQ(idle.n, 0);
+  EXPECT_TRUE(idle.parked);
+  EXPECT_GE(took, std::chrono::milliseconds(5));
+  EXPECT_LT(took, std::chrono::seconds(1));  // parked until the timeout
+
+  // A timeout under the budget (a paced send due soon) ends the spin
+  // on time. Preemption only lengthens a wait, so the fastest of a few
+  // decides.
+  auto fastest = std::chrono::nanoseconds::max();
+  for (int i = 0; i < 20; ++i) {
+    const auto t = Clock::now();
+    const net::SpinWait w = ep.wait_spin(evs, 4, 5'000);
+    fastest = std::min<std::chrono::nanoseconds>(fastest, Clock::now() - t);
+    EXPECT_EQ(w.n, 0);
+    EXPECT_FALSE(w.parked);
+  }
+  EXPECT_LT(fastest.count(), net::kSpinBudgetNs);
+}
+
 // --- loopback server/client smoke ------------------------------------
 
 TEST(Loopback, LedgerMatchesAndStructureSurvives) {
@@ -335,6 +406,54 @@ TEST(Loopback, LedgerMatchesAndStructureSurvives) {
   EXPECT_EQ(blast.crashed_slots, 0u);
   EXPECT_EQ(blast.leaked_cells, 0u);
   EXPECT_EQ(blast.parked_limbo, 0u);
+}
+
+/// User plus system CPU time of this process, in seconds.
+double process_cpu_s() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) /
+             1e6;
+}
+
+// The workers spin after each event, but an idle server parks: once
+// the load stops each worker spins one budget and then blocks, so the
+// process burns next to no CPU while idle. Two workers that never
+// parked would burn ~400 ms of CPU in the 200 ms window.
+TEST(Loopback, IdleServerParks) {
+  net::ServerConfig scfg;
+  scfg.port = 0;
+  scfg.set_id = "singly/ebr";
+  scfg.workers = 2;
+  net::Server server(scfg);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  const long parks_before = server.stats().parks;
+
+  net::LoadGenConfig cfg;
+  cfg.port = server.port();
+  cfg.threads = 1;
+  cfg.connections = 4;
+  cfg.total_ops = 2000;
+  cfg.universe = 1024;
+  const net::LoadGenResult res = net::run_loadgen(cfg);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_TRUE(res.ledger_match);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const net::ServerStats loaded = server.stats();
+  EXPECT_GT(loaded.parks, parks_before);
+  EXPECT_GT(loaded.polls_spun, 0);
+  const std::string info = server.info();
+  EXPECT_NE(info.find("\nparks:"), std::string::npos);
+  EXPECT_NE(info.find("\npolls_spun:"), std::string::npos);
+
+  const double cpu0 = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double idle_cpu_s = process_cpu_s() - cpu0;
+  EXPECT_LT(idle_cpu_s, 0.05) << "the idle server kept spinning";
+  server.stop();
 }
 
 TEST(Loopback, ReconnectChurnKeepsLedgerExact) {
